@@ -16,8 +16,6 @@ let components_sharded sh =
   Shard.iter_edges sh (fun ~eid:_ ~src ~dst ~etype:_ -> Union_find.union uf src dst);
   uf
 
-let n_components_sharded sh = Union_find.count (components_sharded sh)
-
 let sources g =
   let out = ref [] in
   for v = Graph.n_vertices g - 1 downto 0 do

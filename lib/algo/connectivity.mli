@@ -12,8 +12,6 @@ val components_sharded : Kaskade_graph.Shard.t -> Kaskade_util.Union_find.t
     from: union-find is order-insensitive, so walking each edge once
     in shard-then-local order merges the same component sets. *)
 
-val n_components_sharded : Kaskade_graph.Shard.t -> int
-
 val sources : Kaskade_graph.Graph.t -> int list
 (** Vertices with no incoming edges. *)
 

@@ -4,18 +4,29 @@ module Int_vec = Kaskade_util.Int_vec
 
 type dir = Out | In | Both
 
-let iter_neighbors g v dir f =
+(* Neighbour iterators: [f u] once per adjacent edge of [v] in
+   direction [dir]. The single CSR and the sharded layer (whose reads
+   route to the owner shard and resolve cut edges through the
+   exchange) plug into the same BFS below. *)
+let graph_neighbors g dir v f =
   (match dir with
-  | Out | Both -> Graph.iter_out g v (fun ~dst ~etype:_ ~eid -> f dst eid)
+  | Out | Both -> Graph.iter_out g v (fun ~dst ~etype:_ ~eid:_ -> f dst)
   | In -> ());
   match dir with
-  | In | Both -> Graph.iter_in g v (fun ~src ~etype:_ ~eid -> f src eid)
+  | In | Both -> Graph.iter_in g v (fun ~src ~etype:_ ~eid:_ -> f src)
+  | Out -> ()
+
+let shard_neighbors sh dir v f =
+  (match dir with
+  | Out | Both -> Shard.iter_out sh v (fun ~dst ~etype:_ ~eid:_ -> f dst)
+  | In -> ());
+  match dir with
+  | In | Both -> Shard.iter_in sh v (fun ~src ~etype:_ ~eid:_ -> f src)
   | Out -> ()
 
 (* [dist] is the result, so it is freshly allocated; the frontier
    queues are scratch vectors reused across calls. *)
-let bfs_levels g ~src ?(dir = Out) ?(max_hops = max_int) () =
-  let n = Graph.n_vertices g in
+let bfs ~n ~neighbors ~src ~max_hops =
   let dist = Array.make n (-1) in
   dist.(src) <- 0;
   Scratch.with_vec @@ fun vec_a ->
@@ -29,7 +40,7 @@ let bfs_levels g ~src ?(dir = Out) ?(max_hops = max_int) () =
     let nv = !next in
     Int_vec.iter
       (fun v ->
-        iter_neighbors g v dir (fun u _ ->
+        neighbors v (fun u ->
             if dist.(u) < 0 then begin
               dist.(u) <- !hop;
               Int_vec.push nv u
@@ -41,58 +52,23 @@ let bfs_levels g ~src ?(dir = Out) ?(max_hops = max_int) () =
   done;
   dist
 
-let reachable_within g ~src ~max_hops ?(dir = Out) () =
-  let dist = bfs_levels g ~src ~dir ~max_hops () in
+let bfs_levels g ~src ?(dir = Out) ?(max_hops = max_int) () =
+  bfs ~n:(Graph.n_vertices g) ~neighbors:(graph_neighbors g dir) ~src ~max_hops
+
+(* Collected from the dist array in ascending vid order, so the
+   sharded walk equals the unsharded one whatever order shards are
+   visited in. *)
+let reached dist =
   let out = ref [] in
-  for v = Graph.n_vertices g - 1 downto 0 do
+  for v = Array.length dist - 1 downto 0 do
     if dist.(v) > 0 then out := v :: !out
   done;
   !out
 
-(* Shard-routed counterpart of [reachable_within]: the BFS reads each
-   frontier vertex's adjacency from its owner shard (cut edges resolve
-   through the exchange), and the result is collected from the dist
-   array in ascending vid order — so it equals [reachable_within] on
-   the unsharded graph exactly, whatever order shards are visited
-   in. *)
+let reachable_within g ~src ~max_hops ?(dir = Out) () = reached (bfs_levels g ~src ~dir ~max_hops ())
+
 let reachable_within_sharded sh ~src ~max_hops ?(dir = Out) () =
-  let iter_neighbors v f =
-    (match dir with
-    | Out | Both -> Shard.iter_out sh v (fun ~dst ~etype:_ ~eid:_ -> f dst)
-    | In -> ());
-    match dir with
-    | In | Both -> Shard.iter_in sh v (fun ~src:u ~etype:_ ~eid:_ -> f u)
-    | Out -> ()
-  in
-  let n = Shard.n_vertices sh in
-  let dist = Array.make n (-1) in
-  dist.(src) <- 0;
-  Scratch.with_vec @@ fun vec_a ->
-  Scratch.with_vec @@ fun vec_b ->
-  let cur = ref vec_a and next = ref vec_b in
-  Int_vec.push !cur src;
-  let hop = ref 0 in
-  while Int_vec.length !cur > 0 && !hop < max_hops do
-    incr hop;
-    Int_vec.clear !next;
-    let nv = !next in
-    Int_vec.iter
-      (fun v ->
-        iter_neighbors v (fun u ->
-            if dist.(u) < 0 then begin
-              dist.(u) <- !hop;
-              Int_vec.push nv u
-            end))
-      !cur;
-    let tmp = !cur in
-    cur := !next;
-    next := tmp
-  done;
-  let out = ref [] in
-  for v = n - 1 downto 0 do
-    if dist.(v) > 0 then out := v :: !out
-  done;
-  !out
+  reached (bfs ~n:(Shard.n_vertices sh) ~neighbors:(shard_neighbors sh dir) ~src ~max_hops)
 
 let descendants g ~src ~max_hops = reachable_within g ~src ~max_hops ~dir:Out ()
 let ancestors g ~src ~max_hops = reachable_within g ~src ~max_hops ~dir:In ()

@@ -15,11 +15,10 @@ val reachable_within :
 
 val reachable_within_sharded :
   Kaskade_graph.Shard.t -> src:int -> max_hops:int -> ?dir:dir -> unit -> int list
-(** {!reachable_within} reading through a sharded CSR: each frontier
-    vertex's adjacency comes from its owner shard (cut edges resolve
-    through the exchange) and the result is collected in ascending vid
-    order, so the list equals {!reachable_within} on the graph the
-    shards were built from. *)
+(** {!reachable_within} reading through a sharded CSR — the same BFS
+    with each frontier vertex's adjacency read from its owner shard
+    (cut edges resolve through the exchange), so the list equals
+    {!reachable_within} on the graph the shards were built from. *)
 
 val descendants : Kaskade_graph.Graph.t -> src:int -> max_hops:int -> int list
 (** Forward data lineage (paper Q3): [reachable_within] over out-edges. *)

@@ -33,17 +33,17 @@ let m_view_misses =
   Metrics.counter ~help:"Queries answered on the base graph" "kaskade.view_misses"
 
 let h_query_seconds =
-  Metrics.histogram ~help:"End-to-end Kaskade.run wall time (seconds)" "kaskade.query_seconds"
+  Metrics.histogram ~help:"End-to-end Kaskade.query wall time (seconds)" "kaskade.query_seconds"
 
 (* The same latency, split by how the query was answered — a view-hit
    p95 buried in an aggregate histogram is invisible next to base-graph
    fallbacks that run orders of magnitude longer. *)
 let h_query_hit_seconds =
-  Metrics.histogram ~help:"Kaskade.run wall time, queries answered via a view (seconds)"
+  Metrics.histogram ~help:"Kaskade.query wall time, queries answered via a view (seconds)"
     "kaskade.query_seconds.view_hit"
 
 let h_query_fallback_seconds =
-  Metrics.histogram ~help:"Kaskade.run wall time, queries answered on the base graph (seconds)"
+  Metrics.histogram ~help:"Kaskade.query wall time, queries answered on the base graph (seconds)"
     "kaskade.query_seconds.fallback"
 
 let h_query_timeout_seconds =
@@ -659,7 +659,7 @@ let run_on_view ?budget t name q =
           (Error.Refresh_error { view = name; reason = "quarantined by open circuit breaker" }))
     | f ->
       invalid_arg
-        (Printf.sprintf "Kaskade.run_on_view: view %s is %s; refresh it first" name
+        (Printf.sprintf "Kaskade.query: view %s is %s; refresh it first" name
            (Catalog.freshness_label f)));
     Executor.run ?budget (view_ctx t name) q
   | None -> raise Not_found
@@ -713,6 +713,43 @@ let log_failure ?budget t0 q e =
   | Some err -> log_query ?budget t0 q ~outcome:(Qlog.Failed (Error.label err)) ~rows:0
   | None -> ()
 
+(* Cold planning, shared by [run]'s cache-miss path and [profile]:
+   repair stale views, rewrite and cost every candidate, route to the
+   cheapest fresh view (else the base graph), bump the routing
+   counters and execute. [run_explained] rather than [run] even
+   unprofiled: same execution, but the (cheap, already-costed) plan
+   tree comes back for the query log's plan fingerprint. *)
+type cold = {
+  c_result : Executor.result;
+  c_target : run_target;
+  c_executed : Kaskade_query.Ast.t;
+  c_plan : Explain.node;
+  c_raw_cost : float;
+  c_cands : (Catalog.entry * (Rewrite.rewriting * float) option) list;
+  c_refreshes : refresh_outcome list;
+}
+
+let plan_and_run ~profile ?budget t q =
+  let refreshes = repair ?budget t in
+  let raw_cost, cands = eval_candidates t q in
+  let target, ctx, executed =
+    match pick_best raw_cost cands with
+    | Some (rw, entry, _) ->
+      let name = View.name entry.Catalog.materialized.Materialize.view in
+      Log.debug (fun k ->
+          k "answering via %s: %s" name (Kaskade_query.Pretty.to_string rw.Rewrite.rewritten));
+      Metrics.incr m_view_hits;
+      (Via_view name, view_ctx t name, rw.Rewrite.rewritten)
+    | None ->
+      Log.debug (fun k -> k "no materialized view helps; answering on the base graph");
+      Metrics.incr m_view_misses;
+      note_fallback t q cands;
+      (Raw, base_ctx t, q)
+  in
+  let result, plan = Executor.run_explained ~profile ?budget ctx executed in
+  { c_result = result; c_target = target; c_executed = executed; c_plan = plan;
+    c_raw_cost = raw_cost; c_cands = cands; c_refreshes = refreshes }
+
 let run ?budget t q =
   let t0 = Trace.now_s () in
   (* The cache key is the same FNV-1a hash of the canonical query text
@@ -728,45 +765,23 @@ let run ?budget t q =
          has not changed since this routing was planned. *)
       Metrics.incr m_plan_cache_hits;
       cp.cp_hits <- cp.cp_hits + 1;
-      (match cp.cp_target with
-      | Via_view name ->
-        Metrics.incr m_view_hits;
-        let result, plan =
-          Executor.run_explained ~profile:false ?budget (view_ctx t name) cp.cp_executed
-        in
-        ((result, Via_view name), plan)
-      | Raw ->
-        Metrics.incr m_view_misses;
-        let result, plan =
-          Executor.run_explained ~profile:false ?budget (base_ctx t) cp.cp_executed
-        in
-        ((result, Raw), plan))
+      let ctx =
+        match cp.cp_target with
+        | Via_view name ->
+          Metrics.incr m_view_hits;
+          view_ctx t name
+        | Raw ->
+          Metrics.incr m_view_misses;
+          base_ctx t
+      in
+      let result, plan = Executor.run_explained ~profile:false ?budget ctx cp.cp_executed in
+      ((result, cp.cp_target), plan)
     | None ->
       Metrics.incr m_plan_cache_misses;
-      ignore (repair ?budget t);
-      let raw_cost, cands = eval_candidates t q in
-      (match pick_best raw_cost cands with
-      | Some (rw, entry, _) ->
-        let name = View.name entry.Catalog.materialized.Materialize.view in
-        Log.debug (fun k ->
-            k "answering via %s: %s" name (Kaskade_query.Pretty.to_string rw.Rewrite.rewritten));
-        Metrics.incr m_view_hits;
-        (* [run_explained ~profile:false] instead of [run]: same
-           execution, but the (cheap, already-costed) plan tree comes
-           back for the query log's plan fingerprint. *)
-        let result, plan =
-          Executor.run_explained ~profile:false ?budget (view_ctx t name) rw.Rewrite.rewritten
-        in
-        plan_cache_store t key ~target:(Via_view name) ~executed:rw.Rewrite.rewritten
-          ~fingerprint:(Qlog.fingerprint plan);
-        ((result, Via_view name), plan)
-      | None ->
-        Log.debug (fun k -> k "no materialized view helps; answering on the base graph");
-        Metrics.incr m_view_misses;
-        note_fallback t q cands;
-        let result, plan = Executor.run_explained ~profile:false ?budget (base_ctx t) q in
-        plan_cache_store t key ~target:Raw ~executed:q ~fingerprint:(Qlog.fingerprint plan);
-        ((result, Raw), plan))
+      let c = plan_and_run ~profile:false ?budget t q in
+      plan_cache_store t key ~target:c.c_target ~executed:c.c_executed
+        ~fingerprint:(Qlog.fingerprint c.c_plan);
+      ((c.c_result, c.c_target), c.c_plan)
   in
   (* Inherit the serving layer's request context, or mint one for a
      direct facade call — every span under [body] and the qlog record
@@ -888,24 +903,10 @@ let profile ?budget t q =
   let t0 = Trace.now_s () in
   let body () =
     Budget.check budget Budget.Plan;
-    let refreshes = repair ?budget t in
-    let raw_cost, cands = eval_candidates t q in
-    let result, target, executed, plan =
-      match pick_best raw_cost cands with
-      | Some (rw, entry, _) ->
-        let name = View.name entry.Catalog.materialized.Materialize.view in
-        Metrics.incr m_view_hits;
-        let result, plan =
-          Executor.run_explained ~profile:true ?budget (view_ctx t name) rw.Rewrite.rewritten
-        in
-        (result, Via_view name, rw.Rewrite.rewritten, plan)
-      | None ->
-        Metrics.incr m_view_misses;
-        note_fallback t q cands;
-        let result, plan = Executor.run_explained ~profile:true ?budget (base_ctx t) q in
-        (result, Raw, q, plan)
-    in
-    (result, make_report ?budget t q ~target ~raw_cost ~cands ~refreshes ~executed ~plan)
+    let c = plan_and_run ~profile:true ?budget t q in
+    ( c.c_result,
+      make_report ?budget t q ~target:c.c_target ~raw_cost:c.c_raw_cost ~cands:c.c_cands
+        ~refreshes:c.c_refreshes ~executed:c.c_executed ~plan:c.c_plan )
   in
   Tracectx.with_minted (fun _trace ->
       match body () with

@@ -382,7 +382,7 @@ val run_result :
 
 (** {1 EXPLAIN / PROFILE}
 
-    Observability entry points mirroring {!run}'s decision process
+    Observability entry points mirroring {!query}'s decision process
     without (EXPLAIN) or alongside (PROFILE) execution. *)
 
 type view_candidate = {
@@ -405,7 +405,7 @@ type view_candidate = {
 }
 
 type report = {
-  target : run_target;  (** The decision {!run} would make. *)
+  target : run_target;  (** The decision {!query} would make. *)
   raw_cost : float;  (** Estimated cost on the base graph. *)
   executed : Kaskade_query.Ast.t;
       (** The query actually evaluated: the rewriting when
@@ -430,7 +430,7 @@ type report = {
   plan_cache : string option;
       (** What the plan cache would do for this query right now:
           ["cold"], or ["warm (N hits, plan <fingerprint>)"] when a
-          {!run} would skip planning. [None] when the cache is
+          {!query} would skip planning. [None] when the cache is
           disabled. *)
   plan : Kaskade_obs.Explain.node;  (** Operator tree for [executed]. *)
 }
@@ -439,7 +439,7 @@ val explain : ?budget:Kaskade_util.Budget.t -> t -> Kaskade_query.Ast.t -> repor
 (** The plan and rewrite decision for [q], without executing it.
     Read-only: stale views are {e reported} (freshness plus the
     refresh strategy a repair would use) but never repaired, and the
-    reported target is what {!run} would pick with the catalog in this
+    reported target is what {!query} would pick with the catalog in this
     state. [budget] is surfaced in the report, not consumed. *)
 
 val profile :
@@ -447,7 +447,7 @@ val profile :
   t ->
   Kaskade_query.Ast.t ->
   Kaskade_exec.Executor.result * report
-(** Execute [q] exactly as {!run} would (the result is identical —
+(** Execute [q] exactly as {!query} would (the result is identical —
     including budget enforcement and refresh-failure degradation) and
     return the plan annotated with per-operator actual rows and wall
     times, plus any view repairs that ran first. *)
@@ -465,22 +465,9 @@ val run_raw :
 (** @deprecated The raising form of {!query}[ ~target:Base]: always
     evaluate on the (current) base graph. *)
 
-val run_on_view :
-  ?budget:Kaskade_util.Budget.t ->
-  t ->
-  string ->
-  Kaskade_query.Ast.t ->
-  Kaskade_exec.Executor.result
-[@@deprecated "use Kaskade.query ~target:(View name)"]
-(** @deprecated The raising form of {!query}[ ~target:(View name)].
-    Raises [Not_found] for unknown views; a stale view is repaired
-    first under [auto_refresh] and refused ([Invalid_argument])
-    otherwise. Unlike [run] there is no base-graph fallback, so a
-    failed or breaker-blocked repair raises {!Error.Refresh_error}. *)
-
 (** {1 Workload advisor}
 
-    Closes the observe-decide loop: the query log that {!run} /
+    Closes the observe-decide loop: the query log that {!query} /
     {!profile} accumulate ([Kaskade_obs.Qlog]) is replayed through the
     same enumeration + knapsack selection that {!select_views} runs on
     an assumed workload — except the queries and their frequencies are

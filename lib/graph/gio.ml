@@ -149,151 +149,3 @@ let load path =
     (fun () ->
       let n = in_channel_length ic in
       really_input_string ic n |> of_string)
-
-(* ------------------------------------------------------------------ *)
-(* Per-shard persistence                                               *)
-
-let shard_magic = "kaskade-shard 1"
-
-let shard_path path ~shard ~total = Printf.sprintf "%s.shard%d-of-%d" path shard total
-
-let save_shards sh path =
-  let schema = Shard.schema sh in
-  let s = Shard.n_shards sh in
-  for i = 0 to s - 1 do
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf
-      (Printf.sprintf "%s %d %d %s\n" shard_magic i s
-         (Shard.policy_name (Shard.policy sh)));
-    List.iter
-      (fun t -> Buffer.add_string buf ("vtype " ^ encode_str t ^ "\n"))
-      (Schema.vertex_types schema);
-    List.iter
-      (fun (d : Schema.edge_def) ->
-        Buffer.add_string buf
-          (Printf.sprintf "etype %s %s %s\n" (encode_str d.src) (encode_str d.name)
-             (encode_str d.dst)))
-      (Schema.edge_defs schema);
-    (* Owned vertices, ascending global id (= ascending local id),
-       then the out-edges they source — each edge of the graph
-       appears in exactly one shard file. Endpoints are global
-       vids, so files are stitchable without a rename pass. *)
-    for l = 0 to Shard.shard_size sh i - 1 do
-      let v = Shard.global_id sh ~shard:i l in
-      let props = Shard.vertex_props sh v in
-      Buffer.add_string buf
-        (Printf.sprintf "v %d %s%s\n" v
-           (encode_str (Shard.vertex_type_name sh v))
-           (if props = [] then "" else " " ^ encode_props props))
-    done;
-    for l = 0 to Shard.shard_size sh i - 1 do
-      let v = Shard.global_id sh ~shard:i l in
-      Shard.iter_out sh v (fun ~dst ~etype ~eid ->
-          let props = Shard.edge_props sh eid in
-          Buffer.add_string buf
-            (Printf.sprintf "e %d %d %s%s\n" v dst
-               (encode_str (Schema.edge_type_name schema etype))
-               (if props = [] then "" else " " ^ encode_props props)))
-    done;
-    write_atomic (shard_path path ~shard:i ~total:s) (Buffer.contents buf)
-  done
-
-let load_shards path ~shards:s =
-  if s < 1 then invalid_arg "Gio.load_shards: shards must be >= 1";
-  let vtypes = ref [] and etypes = ref [] in
-  let vertex_lines = ref [] and edge_lines = ref [] in
-  let policy = ref None in
-  let n_vertices = ref 0 and n_edges = ref 0 in
-  for i = 0 to s - 1 do
-    let file = shard_path path ~shard:i ~total:s in
-    let ic = open_in file in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let lines = String.split_on_char '\n' text in
-    List.iteri
-      (fun idx line ->
-        let line_no = idx + 1 in
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' then ()
-        else if line_no = 1 then begin
-          match String.split_on_char ' ' line with
-          | [ m1; m2; shard_idx; shard_total; pol ]
-            when String.concat " " [ m1; m2 ] = shard_magic ->
-            if int_of_string shard_idx <> i || int_of_string shard_total <> s then
-              raise
-                (Format_error
-                   (Printf.sprintf "shard header mismatch in %s: %s" file line, line_no));
-            let p = Shard.policy_of_name pol in
-            (match !policy with
-            | Some p0 when p0 <> p ->
-              raise (Format_error ("shard files disagree on partition policy", line_no))
-            | _ -> policy := Some p)
-          | _ -> raise (Format_error ("bad shard magic: " ^ line, line_no))
-        end
-        else begin
-          match String.split_on_char ' ' line with
-          | "vtype" :: name :: [] ->
-            let name = decode_str name in
-            if i = 0 then vtypes := name :: !vtypes
-          | "etype" :: src :: name :: dst :: [] ->
-            if i = 0 then
-              etypes := (decode_str src, decode_str name, decode_str dst) :: !etypes
-          | "v" :: id :: ty :: props ->
-            Stdlib.incr n_vertices;
-            vertex_lines := (line_no, int_of_string id, decode_str ty, props) :: !vertex_lines
-          | "e" :: src :: dst :: ty :: props ->
-            Stdlib.incr n_edges;
-            edge_lines :=
-              (line_no, int_of_string src, int_of_string dst, decode_str ty, props)
-              :: !edge_lines
-          | _ -> raise (Format_error ("unrecognized line: " ^ line, line_no))
-        end)
-      lines
-  done;
-  let schema = Schema.define ~vertices:(List.rev !vtypes) ~edges:(List.rev !etypes) in
-  let n = !n_vertices and m = !n_edges in
-  (* Raw arrays only — the shard builder never materializes a global
-     CSR, so peak memory is these arrays plus the per-shard
-     structures. *)
-  let vtype = Array.make (Stdlib.max n 1) (-1) in
-  let vprops = Props.create () and eprops = Props.create () in
-  List.iter
-    (fun (line_no, id, ty, props) ->
-      if id < 0 || id >= n then
-        raise (Format_error (Printf.sprintf "vertex id %d out of range" id, line_no));
-      if vtype.(id) >= 0 then
-        raise (Format_error (Printf.sprintf "duplicate vertex id %d" id, line_no));
-      (vtype.(id) <-
-        (match Schema.vertex_type_id schema ty with
-        | t -> t
-        | exception Not_found -> raise (Format_error ("unknown vertex type " ^ ty, line_no))));
-      List.iter (fun (k, v) -> Props.set vprops id k v) (decode_props line_no props))
-    !vertex_lines;
-  for v = 0 to n - 1 do
-    if vtype.(v) < 0 then
-      raise (Format_error (Printf.sprintf "vertex id %d missing from all shard files" v, 0))
-  done;
-  let e_src = Array.make (Stdlib.max m 1) 0
-  and e_dst = Array.make (Stdlib.max m 1) 0
-  and e_type = Array.make (Stdlib.max m 1) 0 in
-  List.iteri
-    (fun k (line_no, src, dst, ty, props) ->
-      (* [edge_lines] is accumulated in reverse read order. *)
-      let eid = m - 1 - k in
-      e_src.(eid) <- src;
-      e_dst.(eid) <- dst;
-      (e_type.(eid) <-
-        (match Schema.edge_type_id schema ty with
-        | t -> t
-        | exception Not_found -> raise (Format_error ("unknown edge type " ^ ty, line_no))));
-      List.iter (fun (kk, v) -> Props.set eprops eid kk v) (decode_props line_no props))
-    !edge_lines;
-  let e_src = if m = 0 then [||] else e_src
-  and e_dst = if m = 0 then [||] else e_dst
-  and e_type = if m = 0 then [||] else e_type
-  and vtype = if n = 0 then [||] else vtype in
-  Shard.of_arrays
-    ?policy:!policy ~shards:s schema ~vtype ~e_src ~e_dst ~e_type ~vprops ~eprops

@@ -27,40 +27,3 @@ exception Format_error of string * int
 val of_string : string -> Graph.t
 val load : string -> Graph.t
 (** [load path]. *)
-
-(** {2 Per-shard persistence}
-
-    A sharded graph saves as one file per shard,
-    [<path>.shard<i>-of-<S>], each self-describing:
-
-    {v
-    kaskade-shard 1 <i> <S> <policy>
-    vtype <name>
-    etype <src-type> <name> <dst-type>
-    v <global-id> <type> [props]
-    e <src> <dst> <type> [props]
-    v}
-
-    A shard file holds exactly the vertices the shard owns (ascending
-    global id) and the out-edges they source — every edge of the graph
-    appears in exactly one file, and endpoints are global vids, so the
-    files stitch back together without a rename pass. *)
-
-val shard_path : string -> shard:int -> total:int -> string
-(** The on-disk name of one shard's file,
-    [<path>.shard<i>-of-<S>]. *)
-
-val save_shards : Shard.t -> string -> unit
-(** [save_shards sh path] writes [Shard.n_shards sh] files next to
-    [path], each crash-atomically (tmp + fsync + rename, as
-    {!save}). *)
-
-val load_shards : string -> shards:int -> Shard.t
-(** [load_shards path ~shards:s] reads the [s] shard files and
-    rebuilds the partitioned store through [Shard.of_arrays] — raw
-    topology arrays plus per-shard CSRs; no global CSR is ever
-    materialized, so peak memory is shard-linear. The partition policy
-    is taken from the headers (all files must agree). Edge ids are
-    assigned in file order (shard 0 first); vertex ids are the global
-    ids and must cover [0..n-1] exactly once across files. Raises
-    {!Format_error} on malformed or inconsistent files. *)

@@ -28,7 +28,7 @@ let nearest_rank sorted alpha =
     sorted.(Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)))
   end
 
-(* Shared tail of [compute]/[of_shard]/[per_shard]: summaries, sources
+(* Shared tail of [compute]/[per_shard]: summaries, sources
    and the record, given the degree arrays and etype histogram. *)
 let finish schema ~n ~m ~sorted_by_type ~sorted_global ~etype_counts =
   let ntypes = Schema.n_vertex_types schema in
@@ -82,41 +82,6 @@ let compute ?pool g =
          done;
          counts));
   finish schema ~n:(Graph.n_vertices g) ~m:(Graph.n_edges g) ~sorted_by_type ~sorted_global
-    ~etype_counts
-
-(* Statistics of a sharded graph, equal to [compute] of the graph it
-   partitions: degrees are gathered per type in the same global
-   candidate order (each read routed to its owner shard) and sorting
-   erases any residual ordering concern, so every percentile, mean and
-   histogram matches the unsharded reference exactly (property-tested
-   in test_shard). *)
-let of_shard ?pool sh =
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let schema = Shard.schema sh in
-  let ntypes = Schema.n_vertex_types schema in
-  let sorted_by_type =
-    Array.concat
-      (Array.to_list
-         (Pool.map_morsels pool ~n:ntypes (fun ~lo ~hi ->
-              Array.init (hi - lo) (fun j ->
-                  let degs = Shard.out_degrees_of_type sh (lo + j) in
-                  Array.sort compare degs;
-                  degs))))
-  in
-  let sorted_global = Shard.all_out_degrees sh in
-  Array.sort compare sorted_global;
-  let nets = Schema.n_edge_types schema in
-  let etype_counts = Array.make nets 0 in
-  Array.iter
-    (fun partial -> Array.iteri (fun t c -> etype_counts.(t) <- etype_counts.(t) + c) partial)
-    (Pool.map_morsels pool ~n:(Shard.n_edges sh) (fun ~lo ~hi ->
-         let counts = Array.make nets 0 in
-         for e = lo to hi - 1 do
-           let t = Shard.edge_type sh e in
-           counts.(t) <- counts.(t) + 1
-         done;
-         counts));
-  finish schema ~n:(Shard.n_vertices sh) ~m:(Shard.n_edges sh) ~sorted_by_type ~sorted_global
     ~etype_counts
 
 (* Per-shard local statistics: shard [i]'s summary counts, degree

@@ -22,12 +22,6 @@ val compute : ?pool:Kaskade_util.Pool.t -> Graph.t -> t
     {!Kaskade_util.Pool.default}); the result is identical at any
     pool width. *)
 
-val of_shard : ?pool:Kaskade_util.Pool.t -> Shard.t -> t
-(** Statistics of a sharded graph, equal to {!compute} on the graph it
-    partitions: every percentile, mean and histogram matches the
-    unsharded reference exactly, at any shard count, policy or pool
-    width. *)
-
 val per_shard : ?pool:Kaskade_util.Pool.t -> Shard.t -> t array
 (** Per-shard local statistics — shard [i]'s vertex counts, full
     out-degree distributions (cut edges included: a shard prices the

@@ -67,14 +67,10 @@ type t = {
   n : int;
   m : int;
   nets : int;
-  vtype : int array;  (* global, shared with the source graph when built from one *)
   owner : int array;  (* global vid -> shard *)
   local_of : int array;  (* global vid -> local vid within its owner *)
   shards : shard array;
   by_type : int array array;  (* global scan candidates, ascending — the scan order *)
-  e_type : int array;
-  vprops : Props.t;
-  eprops : Props.t;
   cut : int;  (* out-direction adjacency entries crossing shards *)
 }
 
@@ -112,8 +108,12 @@ let assign_owners policy ~s ~n ~by_type =
       by_type);
   owner
 
-let of_arrays ?(policy = Hash) ~shards:s schema ~vtype ~e_src ~e_dst ~e_type ~vprops ~eprops =
-  if s < 1 || s > 256 then invalid_arg "Shard.of_arrays: shard count out of [1, 256]";
+let of_graph ?(policy = Hash) ~shards:s g =
+  if s < 1 || s > 256 then invalid_arg "Shard.of_graph: shard count out of [1, 256]";
+  (* The graph's raw arrays are only read — frozen graphs are never
+     mutated; the per-shard CSRs are the only new structures. *)
+  let schema = Graph.schema g in
+  let vtype, e_src, e_dst, e_type = Graph.internal_arrays g in
   let n = Array.length vtype in
   let m = Array.length e_src in
   let nets = Schema.n_edge_types schema in
@@ -245,15 +245,7 @@ let of_arrays ?(policy = Hash) ~shards:s schema ~vtype ~e_src ~e_dst ~e_type ~vp
   Metrics.set_gauge g_shards (float_of_int s);
   Metrics.set_gauge g_cut_edges (float_of_int !cut);
   Trace.add_attr "cut_edges" (string_of_int !cut);
-  { schema; policy; s; n; m; nets; vtype; owner; local_of; shards; by_type; e_type; vprops;
-    eprops; cut = !cut }
-
-let of_graph ?policy ~shards g =
-  (* The raw arrays are shared physically — frozen graphs are never
-     mutated, and [of_arrays] only reads them. *)
-  let vtype, e_src, e_dst, e_type = Graph.internal_arrays g in
-  let vprops, eprops = Graph.internal_props g in
-  of_arrays ?policy ~shards (Graph.schema g) ~vtype ~e_src ~e_dst ~e_type ~vprops ~eprops
+  { schema; policy; s; n; m; nets; owner; local_of; shards; by_type; cut = !cut }
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
@@ -264,13 +256,8 @@ let n_shards t = t.s
 let n_vertices t = t.n
 let n_edges t = t.m
 let cut_edges t = t.cut
-let owner t v = t.owner.(v)
-let local_id t v = t.local_of.(v)
 let global_id t ~shard l = t.shards.(shard).globals.(l)
 let shard_size t i = Array.length t.shards.(i).globals
-let shard_out_edges t i = Array.length t.shards.(i).out_dst
-
-let shard_cut_out t i = Array.length t.shards.(i).out_x_shard
 
 let memory_words_of_shard (sh : shard) =
   Array.length sh.globals + Array.length sh.out_seg + Array.length sh.in_seg
@@ -289,18 +276,8 @@ let memory_words t =
   Array.iter (fun sh -> per := !per + memory_words_of_shard sh) t.shards;
   !per
 
-let vertex_type t v = t.vtype.(v)
-let vertex_type_name t v = Schema.vertex_type_name t.schema t.vtype.(v)
 let vertices_of_type t ty = t.by_type.(ty)
-let vertices_of_type_name t name = t.by_type.(Schema.vertex_type_id t.schema name)
-let count_of_type t ty = Array.length t.by_type.(ty)
 let locals_of_type t ~shard ty = t.shards.(shard).s_by_type.(ty)
-let edge_type t e = t.e_type.(e)
-
-let vprop_or_null t v key = Props.get_or_null t.vprops v key
-let eprop_or_null t e key = Props.get_or_null t.eprops e key
-let vertex_props t v = Props.entity_props t.vprops v
-let edge_props t e = Props.entity_props t.eprops e
 
 (* Boundary resolution: a negative adjacency entry indexes the
    exchange. The (shard, local) pair is the routing address a
@@ -359,24 +336,6 @@ let out_degree t v =
   let sh = t.shards.(t.owner.(v)) in
   let l = t.local_of.(v) in
   sh.out_seg.((l + 1) * t.nets) - sh.out_seg.(l * t.nets)
-
-let in_degree t v =
-  let sh = t.shards.(t.owner.(v)) in
-  let l = t.local_of.(v) in
-  sh.in_seg.((l + 1) * t.nets) - sh.in_seg.(l * t.nets)
-
-let typed_out_degree t v ~etype =
-  let sh = t.shards.(t.owner.(v)) in
-  let slot = (t.local_of.(v) * t.nets) + etype in
-  sh.out_seg.(slot + 1) - sh.out_seg.(slot)
-
-let typed_in_degree t v ~etype =
-  let sh = t.shards.(t.owner.(v)) in
-  let slot = (t.local_of.(v) * t.nets) + etype in
-  sh.in_seg.(slot + 1) - sh.in_seg.(slot)
-
-let out_degrees_of_type t ty = Array.map (fun v -> out_degree t v) t.by_type.(ty)
-let all_out_degrees t = Array.init t.n (fun v -> out_degree t v)
 
 (* Every edge appears exactly once as an out-entry of its source's
    shard; iterating shards in order and each shard's out-CSR in local

@@ -42,25 +42,12 @@ val policy_of_name : string -> policy
 
 type t
 
-val of_arrays :
-  ?policy:policy ->
-  shards:int ->
-  Schema.t ->
-  vtype:int array ->
-  e_src:int array ->
-  e_dst:int array ->
-  e_type:int array ->
-  vprops:Props.t ->
-  eprops:Props.t ->
-  t
-(** Partition and build per-shard CSRs straight from raw arrays —
-    O(V + E), no global CSR is ever materialized, so peak memory is
-    the raw arrays plus the per-shard structures. [policy] defaults to
-    [Hash]; [shards] must be in [[1, 256]]. *)
-
 val of_graph : ?policy:policy -> shards:int -> Graph.t -> t
-(** Shard an existing frozen graph. The raw topology and property
-    stores are shared physically (frozen graphs are never mutated). *)
+(** Shard an existing frozen graph — O(V + E). The graph's raw
+    topology is only read (frozen graphs are never mutated); the
+    per-shard CSRs are the only new structures. Properties stay with
+    the graph. [policy] defaults to [Hash]; [shards] must be in
+    [[1, 256]]. *)
 
 val schema : t -> Schema.t
 val policy : t -> policy
@@ -72,25 +59,11 @@ val cut_edges : t -> int
 (** Out-direction adjacency entries whose destination lives in another
     shard. *)
 
-val owner : t -> int -> int
-(** Owning shard of a global vid. *)
-
-val local_id : t -> int -> int
-(** Local vid of a global vid within its owner shard. *)
-
 val global_id : t -> shard:int -> int -> int
 (** Global vid of a shard-local vid. *)
 
 val shard_size : t -> int -> int
 (** Vertices owned by the shard. *)
-
-val shard_out_edges : t -> int -> int
-(** Out-CSR entries stored in the shard (each edge is stored exactly
-    once across shards in the out direction). *)
-
-val shard_cut_out : t -> int -> int
-(** The shard's out-direction exchange size (its share of
-    {!cut_edges}). *)
 
 val shard_memory_words : t -> int -> int
 (** Words held by one shard's CSR + exchange structures — the
@@ -101,27 +74,17 @@ val memory_words : t -> int
 
 (** {2 Global-vid reads (mirror {!Graph})} *)
 
-val vertex_type : t -> int -> int
-val vertex_type_name : t -> int -> string
-
 val vertices_of_type : t -> int -> int array
 (** Global candidates in ascending vid order — identical to
     [Graph.vertices_of_type] on the source graph, which is what keeps
     executor scan order (and therefore result bytes) independent of
     the shard count. Shared array, do not mutate. *)
 
-val vertices_of_type_name : t -> string -> int array
-val count_of_type : t -> int -> int
-
 val locals_of_type : t -> shard:int -> int -> int array
 (** One shard's local vids of a vertex type, ascending — the per-shard
     candidate set of a shard-dispatched scan. Shared array. *)
 
-val edge_type : t -> int -> int
 val out_degree : t -> int -> int
-val in_degree : t -> int -> int
-val typed_out_degree : t -> int -> etype:int -> int
-val typed_in_degree : t -> int -> etype:int -> int
 
 val iter_out : t -> int -> (dst:int -> etype:int -> eid:int -> unit) -> unit
 val iter_in : t -> int -> (src:int -> etype:int -> eid:int -> unit) -> unit
@@ -132,17 +95,6 @@ val iter_edges : t -> (eid:int -> src:int -> dst:int -> etype:int -> unit) -> un
 (** Every edge exactly once (as its source shard's out-entry), in
     shard-then-local order — {e not} global eid order. For
     order-insensitive consumers (union-find connectivity, counting). *)
-
-val out_degrees_of_type : t -> int -> int array
-(** Fresh array in global candidate order, equal to
-    [Graph.out_degrees_of_type]. *)
-
-val all_out_degrees : t -> int array
-
-val vprop_or_null : t -> int -> string -> Value.t
-val eprop_or_null : t -> int -> string -> Value.t
-val vertex_props : t -> int -> (string * Value.t) list
-val edge_props : t -> int -> (string * Value.t) list
 
 (** {2 Shard-parallel scan} *)
 

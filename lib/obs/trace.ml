@@ -98,7 +98,7 @@ let record_span ?(attrs = []) ~name ~start_s ~stop_s () =
 
 (* Pool fan-outs surface as pre-timed leaf spans with the executing
    domain recorded — worker 0 is the calling domain, the rest ran on
-   spawned workers. Both observers fire on the calling domain after
+   spawned workers. The observer fires on the calling domain after
    the join (see [Pool.set_morsel_observer]), so this composes with
    the single-domain collector. Morsel spans are labelled with the
    morsel index and its index range, not the worker's position in the
@@ -115,17 +115,7 @@ let () =
                  ("domains", string_of_int workers);
                  ("morsel", Printf.sprintf "%d/%d" morsel morsels);
                  ("range", Printf.sprintf "[%d,%d)" lo hi) ]
-             ~name:"pool.morsel" ~start_s ~stop_s ()));
-  Kaskade_util.Pool.set_chunk_observer
-    (Some
-       (fun ~chunk ~chunks ~lo ~hi ~start_s ~stop_s ->
-         if !current <> None then
-           record_span
-             ~attrs:
-               [ ("domain", string_of_int chunk);
-                 ("domains", string_of_int chunks);
-                 ("range", Printf.sprintf "[%d,%d)" lo hi) ]
-             ~name:"pool.chunk" ~start_s ~stop_s ()))
+             ~name:"pool.morsel" ~start_s ~stop_s ()))
 
 let collect f =
   if enabled () then invalid_arg "Trace.collect: already collecting";

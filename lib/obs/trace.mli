@@ -44,12 +44,12 @@ val record_span :
 (** Append an already-timed leaf span (times on the {!now_s} monotonic
     clock, converted to collect-relative internally) as a child of the
     innermost open span. This is how work measured off the main domain
-    enters the tree: [Pool.map_chunks] stamps each chunk inside its
+    enters the tree: [Pool.map_morsels] stamps each morsel inside its
     worker and replays the stamps here after the join, with a
     ["domain"] attribute naming the executing domain (0 = the calling
     domain) — {!Trace_export} maps it to per-thread tracks. No-op when
     not collecting. Main-domain only. Stamped with the ambient
-    {!Tracectx} like {!with_span} — because Pool observers replay on
+    {!Tracectx} like {!with_span} — because the Pool observer replays on
     the calling domain, morsel spans inherit the request's trace id. *)
 
 val collect : (unit -> 'a) -> 'a * span list

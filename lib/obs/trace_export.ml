@@ -7,7 +7,7 @@
 let us_of_s s = int_of_float (Float.round (s *. 1e6))
 
 (* Worker-domain spans name their domain in the "domain" attribute
-   (Trace.record_span via the Pool chunk observer); domain 0 is the
+   (Trace.record_span via the Pool morsel observer); domain 0 is the
    calling domain. Everything else ran on the calling domain too. *)
 let tid_of_span (s : Trace.span) =
   match List.assoc_opt "domain" s.attrs with

@@ -23,7 +23,8 @@ type t = {
   sample_every_s : float;
   stop : bool Atomic.t;
   mutable sampler : Thread.t option;  (* guarded by [hlock] *)
-  mutable handlers : Thread.t list;  (* guarded by [hlock] *)
+  handlers : (int, Thread.t) Hashtbl.t;
+      (* live connection handlers by thread id, guarded by [hlock] *)
   hlock : Mutex.t;
 }
 
@@ -49,7 +50,7 @@ let create ?max_sessions ?max_inflight ?max_queue ?deadline_s ?mode ?thresholds
     sample_every_s = Stdlib.max 0.01 sample_every_s;
     stop = Atomic.make false;
     sampler = None;
-    handlers = [];
+    handlers = Hashtbl.create 16;
     hlock = Mutex.create ();
   }
 
@@ -91,7 +92,14 @@ let store_fields mgr =
       ("snapshot_seq", string_of_int (Store.snapshot_seq st));
     ]
 
-let stats_line mgr =
+let live_connections t =
+  Mutex.lock t.hlock;
+  let n = Hashtbl.length t.handlers in
+  Mutex.unlock t.hlock;
+  n
+
+let stats_line t =
+  let mgr = t.mgr in
   let pinned =
     Session.pinned_versions mgr
     |> List.map (fun (v, n) -> Printf.sprintf "%d:%d" v n)
@@ -104,6 +112,7 @@ let stats_line mgr =
        ("shed", string_of_int (Session.shed_total mgr));
        ("version", string_of_int (Kaskade.version (Session.kaskade mgr)));
        ("pinned", pinned);
+       ("connections", string_of_int (live_connections t));
      ]
     @ store_fields mgr)
 
@@ -270,7 +279,7 @@ let handle_request t ~session oc line =
         `Continue
     end
     | Wire.Stats ->
-      respond oc (stats_line t.mgr);
+      respond oc (stats_line t);
       `Continue
     | Wire.Health ->
       respond oc (health_line t);
@@ -301,14 +310,44 @@ let handle_request t ~session oc line =
       `Shutdown
   end
 
+(* Longest request line accepted, newline excluded. [input_line] would
+   buffer a line of any length; past this cap the request is a
+   protocol error and the connection closes. *)
+let max_line_bytes = 1 lsl 20
+
+(* [input_line] with the cap: [`Line l] (a final line without newline
+   included), [`Eof] at end of input, [`Too_long] once the line
+   outgrows [max_line_bytes]. Reads through the channel's buffer. *)
+let read_line ic =
+  let buf = Buffer.create 256 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> `Line (Buffer.contents buf)
+    | c ->
+      if Buffer.length buf >= max_line_bytes then `Too_long
+      else begin
+        Buffer.add_char buf c;
+        go ()
+      end
+    | exception End_of_file -> if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
+  in
+  go ()
+
 let handle_connection t conn =
   let ic = Unix.in_channel_of_descr conn in
   let oc = Unix.out_channel_of_descr conn in
   let session = ref None in
   let rec loop () =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _ | Unix.Unix_error _) -> ()
-    | line -> begin
+    match read_line ic with
+    | exception (Sys_error _ | Unix.Unix_error _) -> ()
+    | `Eof -> ()
+    | `Too_long -> (
+      try
+        respond oc
+          (Wire.err_msg ~label:"proto"
+             (Printf.sprintf "request line exceeds %d bytes" max_line_bytes))
+      with Sys_error _ | Unix.Unix_error _ -> ())
+    | `Line line -> begin
       match handle_request t ~session oc line with
       | `Continue -> loop ()
       | `Close -> ()
@@ -359,9 +398,22 @@ let run t =
     if not (Atomic.get t.stop) then begin
       match Unix.accept t.fd with
       | conn, _ ->
-        let th = Thread.create (fun () -> handle_connection t conn) () in
+        (* Registered under [hlock] before the handler can take it to
+           deregister itself, so a finished connection never lingers
+           in [handlers]. *)
         Mutex.lock t.hlock;
-        t.handlers <- th :: t.handlers;
+        let th =
+          Thread.create
+            (fun () ->
+              Fun.protect
+                ~finally:(fun () ->
+                  Mutex.lock t.hlock;
+                  Hashtbl.remove t.handlers (Thread.id (Thread.self ()));
+                  Mutex.unlock t.hlock)
+                (fun () -> handle_connection t conn))
+            ()
+        in
+        Hashtbl.replace t.handlers (Thread.id th) th;
         Mutex.unlock t.hlock;
         accept_loop ()
       | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
@@ -379,7 +431,7 @@ let run t =
      removed without racing a response in flight. *)
   let handlers =
     Mutex.lock t.hlock;
-    let hs = t.handlers in
+    let hs = Hashtbl.fold (fun _ th acc -> th :: acc) t.handlers [] in
     Mutex.unlock t.hlock;
     hs
   in

@@ -7,7 +7,11 @@
     Failure containment: every per-connection failure — protocol
     violations, query errors, [Unix.Unix_error] from a dropped peer —
     is answered as an [ERR] line or ends that connection only; the
-    accept loop survives anything but {!shutdown}. *)
+    accept loop survives anything but {!shutdown}. A request line
+    longer than 1 MiB is answered [ERR label=proto] and closes its
+    connection. A handler leaves the server's table when its
+    connection ends; [STATS] reports the live count as
+    [connections=]. *)
 
 type t
 

@@ -2,7 +2,6 @@ open Kaskade_graph
 open Kaskade_views
 
 let magic = "KASKSNP1"
-let shard_magic = "KASKSHS1"
 
 type contents = {
   seq : int;
@@ -26,7 +25,7 @@ let write_atomic path payload =
      raise e);
   Sys.rename tmp path
 
-let frame ~magic payload =
+let frame payload =
   let buf = Buffer.create (String.length payload + 24) in
   Buffer.add_string buf magic;
   Codec.add_u32 buf (String.length payload);
@@ -35,7 +34,7 @@ let frame ~magic payload =
   Buffer.contents buf
 
 (* Validate framing and hand back a reader positioned at the payload. *)
-let unframe ~magic ~file s =
+let unframe ~file s =
   let mlen = String.length magic in
   if String.length s < mlen || String.sub s 0 mlen <> magic then
     raise (Codec.Corrupt { file; reason = "bad snapshot magic" });
@@ -93,7 +92,7 @@ let decode r =
   { seq; graph; views }
 
 let write path ~seq ~graph ~views =
-  write_atomic path (frame ~magic (encode ~seq ~graph ~views))
+  write_atomic path (frame (encode ~seq ~graph ~views))
 
 let read_raw path =
   let ic = open_in_bin path in
@@ -101,121 +100,4 @@ let read_raw path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let read path = decode (unframe ~magic ~file:path (read_raw path))
-
-(* Per-shard files ---------------------------------------------------- *)
-
-let shard_path path ~shard ~total = Printf.sprintf "%s.shard%d-of-%d" path shard total
-
-let write_shards sh path ~seq =
-  let schema = Shard.schema sh in
-  let s = Shard.n_shards sh in
-  for i = 0 to s - 1 do
-    let buf = Buffer.create 4096 in
-    Codec.add_i64 buf seq;
-    Codec.add_u32 buf i;
-    Codec.add_u32 buf s;
-    Codec.add_str buf (Shard.policy_name (Shard.policy sh));
-    Codec.add_schema buf schema;
-    (* Owned vertices in ascending global order, then the out-edges
-       they source — each edge lands in exactly one shard file, and
-       endpoints stay global vids so files stitch without renaming
-       (same contract as [Gio.save_shards]). *)
-    let n_owned = Shard.shard_size sh i in
-    Codec.add_u32 buf n_owned;
-    for l = 0 to n_owned - 1 do
-      let v = Shard.global_id sh ~shard:i l in
-      Codec.add_u32 buf v;
-      Codec.add_u32 buf (Shard.vertex_type sh v);
-      Codec.add_props buf (Shard.vertex_props sh v)
-    done;
-    Codec.add_u32 buf (Shard.shard_out_edges sh i);
-    for l = 0 to n_owned - 1 do
-      let v = Shard.global_id sh ~shard:i l in
-      Shard.iter_out sh v (fun ~dst ~etype ~eid ->
-          Codec.add_u32 buf v;
-          Codec.add_u32 buf dst;
-          Codec.add_u32 buf etype;
-          Codec.add_props buf (Shard.edge_props sh eid))
-    done;
-    write_atomic (shard_path path ~shard:i ~total:s) (frame ~magic:shard_magic (Buffer.contents buf))
-  done
-
-let read_shards path ~shards:s =
-  if s < 1 then invalid_arg "Snapshot.read_shards: shards must be >= 1";
-  let seq = ref None and policy = ref None and schema = ref None in
-  let vertices = ref [] and edges = ref [] in
-  let n_vertices = ref 0 and n_edges = ref 0 in
-  for i = 0 to s - 1 do
-    let file = shard_path path ~shard:i ~total:s in
-    let r = unframe ~magic:shard_magic ~file (read_raw file) in
-    let file_seq = Codec.i64 r in
-    (match !seq with
-    | Some q when q <> file_seq -> Codec.corrupt r "shard files disagree on snapshot seq"
-    | _ -> seq := Some file_seq);
-    let idx = Codec.u32 r in
-    let total = Codec.u32 r in
-    if idx <> i || total <> s then Codec.corrupt r "shard header mismatch";
-    let p = Shard.policy_of_name (Codec.str r) in
-    (match !policy with
-    | Some p0 when p0 <> p -> Codec.corrupt r "shard files disagree on partition policy"
-    | _ -> policy := Some p);
-    let sc = Codec.schema r in
-    if !schema = None then schema := Some sc;
-    let n_owned = Codec.u32 r in
-    for _ = 1 to n_owned do
-      let v = Codec.u32 r in
-      let ty = Codec.u32 r in
-      let props = Codec.props r in
-      incr n_vertices;
-      vertices := (v, ty, props) :: !vertices
-    done;
-    let n_out = Codec.u32 r in
-    for _ = 1 to n_out do
-      let src = Codec.u32 r in
-      let dst = Codec.u32 r in
-      let ty = Codec.u32 r in
-      let props = Codec.props r in
-      incr n_edges;
-      edges := (src, dst, ty, props) :: !edges
-    done
-  done;
-  let schema = Option.get !schema in
-  let n = !n_vertices and m = !n_edges in
-  let vtype = Array.make (Stdlib.max n 1) (-1) in
-  let vprops = Props.create () and eprops = Props.create () in
-  List.iter
-    (fun (v, ty, props) ->
-      if v < 0 || v >= n then
-        raise
-          (Codec.Corrupt { file = path; reason = Printf.sprintf "vertex id %d out of range" v });
-      if vtype.(v) >= 0 then
-        raise (Codec.Corrupt { file = path; reason = Printf.sprintf "duplicate vertex id %d" v });
-      vtype.(v) <- ty;
-      List.iter (fun (k, value) -> Props.set vprops v k value) props)
-    !vertices;
-  for v = 0 to n - 1 do
-    if vtype.(v) < 0 then
-      raise
-        (Codec.Corrupt
-           { file = path; reason = Printf.sprintf "vertex id %d missing from all shard files" v })
-  done;
-  let e_src = Array.make (Stdlib.max m 1) 0
-  and e_dst = Array.make (Stdlib.max m 1) 0
-  and e_type = Array.make (Stdlib.max m 1) 0 in
-  List.iteri
-    (fun k (src, dst, ty, props) ->
-      (* [edges] is accumulated in reverse read order. *)
-      let eid = m - 1 - k in
-      e_src.(eid) <- src;
-      e_dst.(eid) <- dst;
-      e_type.(eid) <- ty;
-      List.iter (fun (kk, value) -> Props.set eprops eid kk value) props)
-    !edges;
-  let e_src = if m = 0 then [||] else e_src
-  and e_dst = if m = 0 then [||] else e_dst
-  and e_type = if m = 0 then [||] else e_type
-  and vtype = if n = 0 then [||] else vtype in
-  ( Option.get !seq,
-    Shard.of_arrays ?policy:!policy ~shards:s schema ~vtype ~e_src ~e_dst ~e_type ~vprops ~eprops
-  )
+let read path = decode (unframe ~file:path (read_raw path))

@@ -18,10 +18,8 @@
     (e.g. media damage) raises {!Codec.Corrupt} and recovery falls
     back to the previous snapshot.
 
-    Per-shard variant: {!write_shards}/{!read_shards} mirror
-    [Gio.save_shards]'s one-file-per-shard layout (global vids inside,
-    every edge in exactly its source shard's file) in the binary
-    format, for stores whose base graph lives sharded. *)
+    One format serves every facade: a sharded facade snapshots its
+    frozen graph here too, and re-partitions it after recovery. *)
 
 type contents = {
   seq : int;  (** WAL sequence number the snapshot includes. *)
@@ -44,15 +42,3 @@ val write :
 val read : string -> contents
 (** Raises {!Codec.Corrupt} on bad magic or checksum, [End_of_file]
     on a short file, [Sys_error] when absent. *)
-
-val shard_path : string -> shard:int -> total:int -> string
-(** [<path>.shard<i>-of-<n>] — the same naming scheme as
-    [Gio.shard_path]. *)
-
-val write_shards : Kaskade_graph.Shard.t -> string -> seq:int -> unit
-(** One crash-atomic binary file per shard under {!shard_path}. *)
-
-val read_shards : string -> shards:int -> int * Kaskade_graph.Shard.t
-(** [(seq, sharded graph)] rebuilt via [Shard.of_arrays] without ever
-    materializing a global CSR. All files must agree on seq, shard
-    count and policy ({!Codec.Corrupt} otherwise). *)

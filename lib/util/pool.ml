@@ -43,17 +43,10 @@ let default () =
     default_pool := Some p;
     p
 
-(* Telemetry hooks (observability layer): per-task wall times are
+(* Telemetry hook (observability layer): per-morsel wall times are
    captured inside the executing domain but replayed to the hook from
-   the calling domain after the join, so the hooks themselves never run
+   the calling domain after the join, so the hook itself never runs
    concurrently. *)
-let chunk_observer :
-    (chunk:int -> chunks:int -> lo:int -> hi:int -> start_s:float -> stop_s:float -> unit) option
-    ref =
-  ref None
-
-let set_chunk_observer obs = chunk_observer := obs
-
 let morsel_observer :
     (worker:int ->
     workers:int ->
@@ -146,67 +139,6 @@ let map_morsels t ?grain ~n f =
             report ~worker:who.(i) ~workers:w ~morsel:i ~morsels ~lo ~hi ~start_s:times.(2 * i)
               ~stop_s:times.((2 * i) + 1)
           end
-        done
-      | None -> ());
-      Array.iter (function Error e -> raise e | Ok _ -> ()) results;
-      Array.map (function Ok v -> v | Error _ -> assert false) results
-    end
-  end
-
-(* --------------------------------------------------------------- *)
-(* Legacy fixed-partition fan-out: one balanced chunk per domain,
-   spawned unconditionally. Kept for callers that need the exact
-   partition (and for tests of it); new code should use
-   [map_morsels]. *)
-
-let map_chunks t ~n f =
-  if n <= 0 then [||]
-  else begin
-    let k = Stdlib.min t.width n in
-    (* Balanced partition: the first [rem] chunks get one extra index. *)
-    let q = n / k and rem = n mod k in
-    let bound i = (i * q) + Stdlib.min i rem in
-    if k = 1 then [| f ~lo:0 ~hi:n |]
-    else begin
-      let observer = !chunk_observer in
-      let times = match observer with None -> [||] | Some _ -> Array.make (2 * k) 0.0 in
-      let f =
-        match observer with
-        | None -> f
-        | Some _ ->
-          fun ~lo ~hi ->
-            (* Recover the chunk index from [lo]: bounds are strictly
-               increasing, so the chunk is the largest i with
-               bound i <= lo. Writes to [times] are per-chunk disjoint. *)
-            let rec chunk_of i = if i + 1 >= k || bound (i + 1) > lo then i else chunk_of (i + 1) in
-            let c = chunk_of 0 in
-            times.(2 * c) <- Mclock.now_s ();
-            let r = f ~lo ~hi in
-            times.((2 * c) + 1) <- Mclock.now_s ();
-            r
-      in
-      (* Chunks 1..k-1 run on spawned domains, chunk 0 on the caller.
-         Every domain is joined before returning — even on failure —
-         and the earliest chunk's exception wins, so error behavior is
-         as deterministic as the results. *)
-      let workers =
-        Array.init (k - 1) (fun j ->
-            let i = j + 1 in
-            let lo = bound i and hi = bound (i + 1) in
-            Domain.spawn (fun () -> f ~lo ~hi))
-      in
-      let results = Array.make k (Error Exit) in
-      results.(0) <- (try Ok (f ~lo:0 ~hi:(bound 1)) with e -> Error e);
-      for i = 1 to k - 1 do
-        results.(i) <- (try Ok (Domain.join workers.(i - 1)) with e -> Error e)
-      done;
-      (match observer with
-      | Some report ->
-        for c = 0 to k - 1 do
-          (* A chunk that raised may have no stop stamp; skip it. *)
-          if times.((2 * c) + 1) > 0.0 then
-            report ~chunk:c ~chunks:k ~lo:(bound c) ~hi:(bound (c + 1)) ~start_s:times.(2 * c)
-              ~stop_s:times.((2 * c) + 1)
         done
       | None -> ());
       Array.iter (function Error e -> raise e | Ok _ -> ()) results;

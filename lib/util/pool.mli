@@ -69,19 +69,6 @@ val map_morsels : t -> ?grain:int -> n:int -> (lo:int -> hi:int -> 'a) -> 'a arr
     the caller, no domain is spawned, and nothing is reported to the
     morsel observer. *)
 
-val map_chunks : t -> n:int -> (lo:int -> hi:int -> 'a) -> 'a array
-[@@deprecated "use map_morsels instead: work-stealing morsels with the same merge contract"]
-(** Legacy fixed-partition fan-out: evaluate [f ~lo ~hi] over a
-    balanced contiguous partition of [\[0, n)]; at most [domains t]
-    chunks, one per domain, spawned unconditionally (no hardware cap —
-    callers that need real worker domains regardless of machine size
-    still get them). Results are in chunk order.
-
-    @deprecated A fixed partition stalls the whole fan-out on its
-    slowest chunk; {!map_morsels} preserves the same deterministic
-    merge order while letting idle workers steal. One compatibility
-    test keeps this path honest until removal. *)
-
 val set_morsel_observer :
   (worker:int ->
   workers:int ->
@@ -104,10 +91,3 @@ val set_morsel_observer :
     installs one at init so Chrome traces show per-worker timelines
     labelled with morsel ranges; the hook must be cheap and must not
     raise. Sequential (single-worker) fan-outs are not reported. *)
-
-val set_chunk_observer :
-  (chunk:int -> chunks:int -> lo:int -> hi:int -> start_s:float -> stop_s:float -> unit) option ->
-  unit
-(** Like {!set_morsel_observer} for the legacy {!map_chunks} path:
-    one call per chunk in chunk order, chunk 0 being the calling
-    domain. Single-chunk fan-outs are not reported. *)

@@ -349,6 +349,95 @@ let test_server_trace_health_metrics () =
   Thread.join th;
   rm_rf dir
 
+(* A server socket in the temp dir, [run] on its own thread. *)
+let start_server name =
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "kaskade-test-%s-%d.sock" name (Unix.getpid ()))
+  in
+  let server = Serve.Server.create ~max_sessions:4 ~socket (K.make (prov ())) in
+  (socket, Thread.create (fun () -> Serve.Server.run server) ())
+
+let stop_server socket th =
+  let c = Serve.Client.connect socket in
+  check_string "shutdown" "1" (List.assoc "bye" (Serve.Client.status (Serve.Client.request c "SHUTDOWN")));
+  Serve.Client.close c;
+  Thread.join th
+
+(* Connection handlers deregister when their connection ends: after
+   many short-lived connections, STATS counts only the live ones. The
+   reap happens on the server side after the client hangs up, so the
+   probe polls (bounded) for the idle value. *)
+let test_server_reaps_handlers () =
+  let socket, th = start_server "reap" in
+  let probe = Serve.Client.connect socket in
+  let connections () =
+    List.assoc "connections" (Serve.Client.status (Serve.Client.request probe "STATS"))
+  in
+  let idle = connections () in
+  check_string "the probe is the only live connection" "1" idle;
+  for _ = 1 to 200 do
+    let c = Serve.Client.connect socket in
+    check_string "open" "ok" (List.assoc "_status" (Serve.Client.status (Serve.Client.request c "OPEN")));
+    check_string "close" "ok" (List.assoc "_status" (Serve.Client.status (Serve.Client.request c "CLOSE")));
+    Serve.Client.close c
+  done;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec settle () =
+    let n = connections () in
+    if n = idle || Unix.gettimeofday () > deadline then n
+    else begin
+      Thread.delay 0.01;
+      settle ()
+    end
+  in
+  check_string "finished handlers are reaped" idle (settle ());
+  Serve.Client.close probe;
+  stop_server socket th
+
+(* A request line past the server's cap is a typed protocol error that
+   ends that connection only; the next connection is served. *)
+let test_server_line_cap () =
+  let socket, th = start_server "cap" in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  (* A server that kept the connection open would block the reads
+     below forever; time them out instead. *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let line = Bytes.make ((2 lsl 20) + 1) 'x' in
+  Bytes.set line (Bytes.length line - 1) '\n';
+  (* The server hangs up mid-line, so the tail of the write may fail. *)
+  (try ignore (Unix.write fd line 0 (Bytes.length line))
+   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+  (* Read to the server's hang-up: end of input, or a reset because the
+     server closed with the rest of the line unread. [None] when the
+     connection is still open at the timeout. *)
+  let buf = Bytes.create 4096 and got = Buffer.create 256 in
+  let rec drain () =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> Some (Buffer.contents got)
+    | n ->
+      Buffer.add_subbytes got buf 0 n;
+      drain ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> Some (Buffer.contents got)
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> None
+  in
+  (match drain () with
+  | None -> Alcotest.fail "connection still open after an oversized line"
+  | Some response ->
+    let kvs = Serve.Client.status [ String.trim response ] in
+    check_string "oversized line is an ERR" "err" (List.assoc "_status" kvs);
+    check_string "labelled proto" "proto" (List.assoc "label" kvs);
+    let msg = List.assoc "msg" kvs in
+    check_bool "message names the cap" true
+      (String.length msg >= 20 && String.sub msg 0 20 = "request line exceeds"));
+  Unix.close fd;
+  let c = Serve.Client.connect socket in
+  check_string "next connection is served" "1"
+    (List.assoc "pong" (Serve.Client.status (Serve.Client.request c "PING")));
+  Serve.Client.close c;
+  stop_server socket th
+
 (* ------------------------------------------------------------------ *)
 (* Deprecated wrappers (out-of-tree compatibility)                     *)
 
@@ -395,7 +484,9 @@ let () =
       ( "server",
         [ Alcotest.test_case "socket round-trip" `Slow test_server_socket_roundtrip;
           Alcotest.test_case "trace + health + metrics end to end" `Slow
-            test_server_trace_health_metrics ] );
+            test_server_trace_health_metrics;
+          Alcotest.test_case "finished connections are reaped" `Slow test_server_reaps_handlers;
+          Alcotest.test_case "request line is bounded" `Slow test_server_line_cap ] );
       ( "compat",
         [ Alcotest.test_case "deprecated wrappers" `Quick Compat.test_deprecated_create_run ] );
     ]

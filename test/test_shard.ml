@@ -140,9 +140,6 @@ let test_adjacency_equivalence () =
 
 let test_gstats_equal () =
   each_config (fun ~label g sh ->
-      let reference = Gstats.compute g in
-      let sharded = Gstats.of_shard sh in
-      check_bool (label ^ ": Gstats.of_shard = compute") true (reference = sharded);
       (* Per-shard stats must cover the graph exactly once. *)
       let per = Gstats.per_shard sh in
       check_int (label ^ ": per-shard count") (Shard.n_shards sh) (Array.length per);
@@ -177,7 +174,7 @@ let test_connectivity_equal () =
       check_int
         (label ^ ": n_components")
         (Kaskade_algo.Connectivity.n_components g)
-        (Kaskade_algo.Connectivity.n_components_sharded sh))
+        (Kaskade_util.Union_find.count (Kaskade_algo.Connectivity.components_sharded sh)))
 
 let test_traverse_equal () =
   each_config (fun ~label g sh ->
@@ -211,42 +208,6 @@ let test_typed_scan_invariant () =
         check_int (Printf.sprintf "%s: typed_scan rows etype=%d" label ety) !rows srows;
         check_int (Printf.sprintf "%s: typed_scan checksum etype=%d" label ety) !sum ssum
       done)
-
-let test_gio_round_trip () =
-  let tmp = Filename.temp_file "kaskade_shard" ".kg" in
-  List.iter
-    (fun policy ->
-      List.iter
-        (fun s ->
-          let g = Lazy.force (List.assoc "prov" generators) in
-          let sh = Shard.of_graph ~policy ~shards:s g in
-          Gio.save_shards sh tmp;
-          let back = Gio.load_shards tmp ~shards:s in
-          let label = Printf.sprintf "round-trip policy=%s shards=%d" (Shard.policy_name policy) s in
-          check_int (label ^ ": shards") (Shard.n_shards sh) (Shard.n_shards back);
-          check_bool (label ^ ": policy") true (Shard.policy back = policy);
-          check_int (label ^ ": vertices") (Shard.n_vertices sh) (Shard.n_vertices back);
-          check_int (label ^ ": edges") (Shard.n_edges sh) (Shard.n_edges back);
-          check_int (label ^ ": cut edges") (Shard.cut_edges sh) (Shard.cut_edges back);
-          (* Eids can be renumbered by per-shard file order, but the
-             adjacency relation (dst, etype) per vertex and all props
-             must survive. Compare against the source graph. *)
-          for v = 0 to Shard.n_vertices back - 1 do
-            check_int (label ^ ": vertex type") (Graph.vertex_type g v) (Shard.vertex_type back v);
-            let a = ref [] and b = ref [] in
-            Graph.iter_out g v (fun ~dst ~etype ~eid:_ -> a := (dst, etype) :: !a);
-            Shard.iter_out back v (fun ~dst ~etype ~eid:_ -> b := (dst, etype) :: !b);
-            if List.sort compare !a <> List.sort compare !b then
-              Alcotest.failf "%s: out-adjacency of vertex %d differs after round-trip" label v;
-            if Graph.vertex_props g v <> Shard.vertex_props back v then
-              Alcotest.failf "%s: vertex %d props differ after round-trip" label v
-          done;
-          for i = 0 to s - 1 do
-            Sys.remove (Gio.shard_path tmp ~shard:i ~total:s)
-          done)
-        shard_counts)
-    policies;
-  Sys.remove tmp
 
 let test_facade_sharded_run () =
   (* The facade path: views selected, materialized and queried through
@@ -284,6 +245,4 @@ let () =
           Alcotest.test_case "typed_scan invariant" `Quick test_typed_scan_invariant;
           Alcotest.test_case "facade sharded run" `Quick test_facade_sharded_run;
         ] );
-      ( "persistence",
-        [ Alcotest.test_case "save/load round-trip" `Quick test_gio_round_trip ] );
     ]

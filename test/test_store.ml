@@ -1,9 +1,10 @@
 (* Durability: WAL framing with torn-tail truncation and checksum
-   validation, binary snapshots (single-CSR and per-shard) that
-   round-trip the graph and the view catalog, crash-atomic text saves,
-   typed I/O errors, and replay idempotency through the facade —
-   including batches with duplicated delete keys, whose multiset
-   semantics must replay exactly as they applied live. *)
+   validation, binary snapshots that round-trip the graph and the view
+   catalog, crash-atomic text saves, typed I/O errors, and replay
+   idempotency through the facade — including batches with duplicated
+   delete keys, whose multiset semantics must replay exactly as they
+   applied live, and sharded facades, which snapshot and recover
+   through the same single-file format. *)
 
 open Kaskade_graph
 module K = Kaskade
@@ -128,7 +129,7 @@ let test_wal_checksum_rejects_tail () =
   rm_rf dir
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots: graph + view catalog round-trip, per-shard variant       *)
+(* Snapshots: graph + view catalog round-trip                          *)
 
 let test_snapshot_roundtrip () =
   let dir = tmp_dir "snap" in
@@ -159,34 +160,6 @@ let test_snapshot_roundtrip () =
   | exception Codec.Corrupt _ -> ()
   | exception End_of_file -> ()
   | _ -> Alcotest.fail "damaged snapshot read back without error");
-  rm_rf dir
-
-let test_snapshot_shards_roundtrip () =
-  let dir = tmp_dir "snap-shards" in
-  Unix.mkdir dir 0o755;
-  let g = small_graph () in
-  let sh = Shard.of_graph ~shards:3 g in
-  let path = Filename.concat dir "s.ksnap" in
-  Snapshot.write_shards sh path ~seq:5;
-  check_bool "per-shard files exist" true
-    (Sys.file_exists (Snapshot.shard_path path ~shard:0 ~total:3));
-  let seq, sh' = Snapshot.read_shards path ~shards:3 in
-  check_int "seq agreed across shards" 5 seq;
-  check_int "vertices survive" (Shard.n_vertices sh) (Shard.n_vertices sh');
-  check_int "edges survive" (Shard.n_edges sh) (Shard.n_edges sh');
-  let out s v =
-    let acc = ref [] in
-    Shard.iter_out s v (fun ~dst ~etype ~eid:_ -> acc := (dst, etype) :: !acc);
-    List.sort compare !acc
-  in
-  for v = 0 to Shard.n_vertices sh - 1 do
-    if Shard.vertex_type sh v <> Shard.vertex_type sh' v then
-      Alcotest.failf "vertex %d changed type across the shard round-trip" v;
-    if out sh v <> out sh' v then
-      Alcotest.failf "vertex %d adjacency changed across the shard round-trip" v;
-    if List.sort compare (Shard.vertex_props sh v) <> List.sort compare (Shard.vertex_props sh' v)
-    then Alcotest.failf "vertex %d props changed across the shard round-trip" v
-  done;
   rm_rf dir
 
 let test_gio_save_atomic () =
@@ -282,6 +255,51 @@ let test_corrupt_snapshot_falls_back () =
   graph_eq "fallback snapshot + replay equals live" (K.graph ks) (K.graph rks);
   rm_rf dir
 
+(* A sharded facade has no per-shard on-disk format: it snapshots its
+   frozen graph like any other facade and re-partitions after
+   recovery. Views materialized, batches applied on both sides of a
+   snapshot, then a [shards = 4] recovery must answer the Fig. 7
+   anchored queries byte for byte like the live facade — through the
+   views and on the base graph alike. *)
+let test_recover_sharded () =
+  let dir = tmp_dir "sharded" in
+  let config =
+    { K.Config.default with
+      data_dir = Some dir; fsync_policy = Wal.Never; snapshot_every = 0; shards = 4 }
+  in
+  let ks = K.make ~config (small_graph ()) in
+  let queries =
+    List.map K.parse
+      [ "MATCH (s:Job)<-[r*1..4]-(anc:Job) RETURN s, anc";
+        "MATCH (s:Job)-[r*1..4]->(desc:Job) RETURN s, desc";
+        "MATCH (s:File)-[r*1..4]->(desc:File) RETURN s, desc";
+        "SELECT s, n, MAX(r) FROM (MATCH (s:Job)-[r*1..4]->(n) RETURN s, n, r) GROUP BY s, n" ]
+  in
+  let sel = K.select_views ks ~queries ~budget_edges:(4 * Graph.n_edges (K.graph ks)) in
+  check_bool "views materialized" true (K.materialize_selected ks sel <> []);
+  K.Update.batch (Kaskade_gen.Mutate.random_ops ~seed:41 (K.graph ks)) ks;
+  K.Update.batch (Kaskade_gen.Mutate.random_ops ~seed:42 (K.graph ks)) ks;
+  ignore (K.snapshot ks);
+  K.Update.batch (Kaskade_gen.Mutate.random_ops ~seed:43 (K.graph ks)) ks;
+  K.Update.batch (Kaskade_gen.Mutate.random_ops ~seed:44 (K.graph ks)) ks;
+  let rks = K.recover ~config dir in
+  graph_eq "recovered graph equals live" (K.graph ks) (K.graph rks);
+  let answer k target q =
+    match K.query ~target k q with
+    | Ok (r, _) -> Kaskade_serve.Wire.render_result (K.graph k) r
+    | Error e -> Alcotest.failf "query failed: %s" (K.Error.to_string e)
+  in
+  List.iter
+    (fun q ->
+      List.iter
+        (fun target ->
+          check_string
+            (Printf.sprintf "%s answers identically after recovery" (Kaskade_query.Pretty.to_string q))
+            (answer ks target q) (answer rks target q))
+        [ K.Auto; K.Base ])
+    queries;
+  rm_rf dir
+
 let () =
   Alcotest.run "kaskade-store"
     [
@@ -296,7 +314,6 @@ let () =
       ( "snapshot",
         [
           Alcotest.test_case "graph + views round-trip" `Quick test_snapshot_roundtrip;
-          Alcotest.test_case "per-shard round-trip" `Quick test_snapshot_shards_roundtrip;
           Alcotest.test_case "text save is crash-atomic" `Quick test_gio_save_atomic;
         ] );
       ("errors", [ Alcotest.test_case "I/O failures are typed" `Quick test_io_error_taxonomy ]);
@@ -305,6 +322,8 @@ let () =
           Alcotest.test_case "replay matches live (dup delete keys)" `Quick
             test_recover_matches_live;
           Alcotest.test_case "recovery is idempotent" `Quick test_recover_is_idempotent;
+          Alcotest.test_case "sharded facade recovers byte-identically" `Quick
+            test_recover_sharded;
           Alcotest.test_case "corrupt snapshot falls back" `Quick
             test_corrupt_snapshot_falls_back;
         ] );

@@ -258,44 +258,6 @@ let test_scratch_vs_hashtbl_qcheck =
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
 
-(* [map_chunks] is deprecated in favor of [map_morsels]; this single
-   compatibility test pins down the legacy contract — fixed balanced
-   partition, chunk-order merge, identical concatenated output — until
-   the function is removed. Everything else in this section runs on
-   the morsel path. *)
-module Chunks_compat = struct
-  [@@@alert "-deprecated"]
-
-  let test_pool_chunks_compat () =
-    let p = Pool.create ~domains:4 () in
-    let chunks = Pool.map_chunks p ~n:10 (fun ~lo ~hi -> (lo, hi)) in
-    check_int "chunk count" 4 (Array.length chunks);
-    let _ =
-      Array.fold_left
-        (fun expected (lo, hi) ->
-          check_int "contiguous" expected lo;
-          check_bool "non-empty" true (hi > lo);
-          hi)
-        0 chunks
-    in
-    check_int "covers n" 10 (snd chunks.(Array.length chunks - 1));
-    check_int "k capped at n" 3 (Array.length (Pool.map_chunks p ~n:3 (fun ~lo ~hi -> (lo, hi))));
-    check_int "n=0 is empty" 0 (Array.length (Pool.map_chunks p ~n:0 (fun ~lo:_ ~hi:_ -> ())));
-    (* The legacy path must keep honoring the same merge contract as
-       the morsel path: concatenated output identical at any width. *)
-    let work ~lo ~hi = Array.init (hi - lo) (fun j -> (lo + j) * (lo + j)) in
-    let expected =
-      Array.concat (Array.to_list (Pool.map_morsels (Pool.create ~domains:1 ()) ~n:37 work))
-    in
-    List.iter
-      (fun w ->
-        let flat =
-          Array.concat (Array.to_list (Pool.map_chunks (Pool.create ~domains:w ()) ~n:37 work))
-        in
-        Alcotest.(check (array int)) "chunks merge like morsels at any width" expected flat)
-      [ 1; 2; 3; 4; 7 ]
-end
-
 let test_pool_clamps () =
   check_int "width >= 1" 1 (Pool.domains (Pool.create ~domains:0 ()));
   check_int "width <= 64" 64 (Pool.domains (Pool.create ~domains:1000 ()))
@@ -645,8 +607,6 @@ let () =
         ] );
       ( "pool",
         [
-          Alcotest.test_case "deprecated map_chunks compatibility" `Quick
-            Chunks_compat.test_pool_chunks_compat;
           Alcotest.test_case "clamps" `Quick test_pool_clamps;
           Alcotest.test_case "exception propagates" `Quick test_pool_exception_propagates;
           Alcotest.test_case "raising morsel leaves pool usable" `Quick
