@@ -266,27 +266,34 @@ let adj_of_ctx ctx =
 let neighbor_iter adj ~etype ~(dir : Ast.edge_dir) =
   match (dir, etype) with
   | Ast.Fwd, Some et ->
-    fun u f ->
-      Metrics.incr m_expand_steps;
-      adj.a_iter_out_etype u ~etype:et (fun ~dst ~eid:_ -> f dst)
+    fun u f -> adj.a_iter_out_etype u ~etype:et (fun ~dst ~eid:_ -> f dst)
   | Ast.Fwd, None ->
-    fun u f ->
-      Metrics.incr m_expand_steps;
-      adj.a_iter_out u (fun ~dst ~etype:_ ~eid:_ -> f dst)
+    fun u f -> adj.a_iter_out u (fun ~dst ~etype:_ ~eid:_ -> f dst)
   | Ast.Bwd, Some et ->
-    fun u f ->
-      Metrics.incr m_expand_steps;
-      adj.a_iter_in_etype u ~etype:et (fun ~src:s ~eid:_ -> f s)
+    fun u f -> adj.a_iter_in_etype u ~etype:et (fun ~src:s ~eid:_ -> f s)
   | Ast.Bwd, None ->
-    fun u f ->
-      Metrics.incr m_expand_steps;
-      adj.a_iter_in u (fun ~src:s ~etype:_ ~eid:_ -> f s)
+    fun u f -> adj.a_iter_in u (fun ~src:s ~etype:_ ~eid:_ -> f s)
+
+(* Run a traversal that counts its frontier-vertex expansions in
+   [steps], then add the total to [m_expand_steps] once — also when a
+   budget stops it midway. Off the main domain every [Metrics.incr] is
+   a fetch-and-add on a cache line all domains share, too dear for an
+   inner loop. *)
+let counting_steps f =
+  let steps = ref 0 in
+  match f steps with
+  | () -> Metrics.incr ~by:!steps m_expand_steps
+  | exception e ->
+    Metrics.incr ~by:!steps m_expand_steps;
+    raise e
 
 let var_length_endpoints ?budget adj ~src ~lo ~hi ~etype ~(dir : Ast.edge_dir) emit =
   let neighbors = neighbor_iter adj ~etype ~dir in
+  counting_steps @@ fun steps ->
   (* One budget checkpoint per frontier-vertex expansion — the unit
-     the BFS loops below already account to [m_expand_steps]. *)
+     counted in [steps]. *)
   let neighbors u f =
+    incr steps;
     Budget.step budget Budget.Execute;
     neighbors u f
   in
@@ -388,8 +395,9 @@ let var_length_trails ?budget adj ~src ~lo ~hi ~etype ~(dir : Ast.edge_dir) emit
     | Ast.Bwd, None -> fun v k -> adj.a_iter_in v (fun ~src:s ~etype:_ ~eid -> k eid s)
   in
   Scratch.with_set ~n:adj.a_n_edges @@ fun used ->
+  counting_steps @@ fun steps ->
   let rec dfs v depth =
-    Metrics.incr m_expand_steps;
+    incr steps;
     Budget.step budget Budget.Execute;
     if depth >= lo then emit v depth;
     if depth < hi then

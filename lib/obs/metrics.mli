@@ -1,8 +1,11 @@
 (** Process-wide metrics registry: named monotonic counters and
     log-bucketed histograms. Instruments are registered once (module
     init time in the engine) and updated with a plain field mutation,
-    so they are cheap enough to live on hot paths — the variable-length
-    BFS bumps {e expand_steps} per visited edge.
+    so they are cheap enough to live on hot paths. Off the main domain
+    an update is an atomic fetch-and-add on a shared cell, so inner
+    loops tally locally and add once: the variable-length traversals
+    count {e expand_steps} per frontier vertex and add the total per
+    traversal.
 
     The registry is global on purpose: the bench harness and CLI dump
     one snapshot per process ({!to_json}) without threading a handle

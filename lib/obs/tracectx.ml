@@ -29,11 +29,12 @@ let is_valid id =
   String.length id = 16
   && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) id
 
-(* The ambient context is domain-local: systhreads of one domain (the
-   server's handler threads run queries one at a time per session)
-   share it via the dynamic extent of [with_ctx], and worker domains
-   never read it directly — Pool observers replay morsel spans on the
-   calling domain, which is where the stamping happens. *)
+(* The ambient context is domain-local. The server's worker domains
+   run one request at a time, each inside its own [with_ctx]; systhreads
+   of one domain share the slot, so two of them must not run traced
+   requests at once. Pool workers never read it directly — Pool
+   observers replay morsel spans on the calling domain, which is where
+   the stamping happens. *)
 let key : string option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let current () = Domain.DLS.get key

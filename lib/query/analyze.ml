@@ -11,18 +11,17 @@ type summary = {
 
 let err fmt = Format.kasprintf (fun s -> raise (Semantic_error s)) fmt
 
-(* Anonymous pattern nodes still need identities for the summary. *)
-let anon_counter = ref 0
-
-let node_name (n : Ast.node_pat) =
-  match n.n_var with
-  | Some v -> v
-  | None ->
-    incr anon_counter;
-    Printf.sprintf "_anon%d" !anon_counter
-
 let check schema q =
-  anon_counter := 0;
+  (* Anonymous pattern nodes still need identities for the summary,
+     numbered per call so concurrent checks never share a counter. *)
+  let anon_counter = ref 0 in
+  let node_name (n : Ast.node_pat) =
+    match n.n_var with
+    | Some v -> v
+    | None ->
+      incr anon_counter;
+      Printf.sprintf "_anon%d" !anon_counter
+  in
   let vtypes : (string, string) Hashtbl.t = Hashtbl.create 16 in
   let assign var ty =
     match Hashtbl.find_opt vtypes var with

@@ -1,8 +1,13 @@
-(** Line-protocol front-end over a Unix domain socket: one systhread
-    per connection, one {!Session.t} per connection (opened by the
-    [OPEN] verb), all connections sharing one {!Session.manager} —
-    so admission control and writer serialization are global to the
-    server, not per client.
+(** Line-protocol front-end over a Unix domain socket: one {!Session.t}
+    per connection (opened by the [OPEN] verb), all connections sharing
+    one {!Session.manager} — so admission control and writer
+    serialization are global to the server, not per client.
+
+    Threading: each connection gets a systhread that does its socket
+    I/O and runs the other verbs ([UPDATE] included). [Q] and [ROWS]
+    requests are parsed, executed and rendered on the server's worker
+    domains ({!Session.dispatch}) while the connection thread waits,
+    so concurrent connections use separate cores.
 
     Failure containment: every per-connection failure — protocol
     violations, query errors, [Unix.Unix_error] from a dropped peer —
@@ -42,9 +47,11 @@ val create :
 val run : t -> unit
 (** Accept loop; blocks until a client sends [SHUTDOWN] or
     {!shutdown} is called, then waits for open connection handlers
-    (and the time-series sampler thread) to drain and removes the
-    socket file. Starts the sampler: one immediate baseline sample,
-    then one per [sample_every_s]. *)
+    (and the time-series sampler thread) to drain, joins the worker
+    domains and removes the socket file. Starts the workers
+    ({!Session.start_workers}; if that fails, the server stops
+    listening and the exception propagates) and the sampler: one
+    immediate baseline sample, then one per [sample_every_s]. *)
 
 val shutdown : t -> unit
 (** Ask a running {!run} to stop (thread-safe, idempotent). *)

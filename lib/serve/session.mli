@@ -15,18 +15,24 @@
     version advances batch-atomically.
 
     {b Threading.} Sessions may be driven from separate domains or
-    systhreads. Execution itself runs {e outside} the manager lock on
-    the immutable pinned graph; only pin/unpin/apply/admission
-    bookkeeping hold it. One session must not be used from two threads
-    at once (its executor context is private but stateful).
+    systhreads: {!run} executes on the caller's own thread, {!dispatch}
+    on the manager's worker domains ({!start_workers}), so concurrent
+    served requests run in parallel rather than taking turns on one
+    domain's runtime lock. Execution itself runs {e outside} the
+    manager lock on the immutable pinned graph; only
+    pin/unpin/apply/admission bookkeeping hold it. One session must
+    not be used from two threads at once (its executor context is
+    private but stateful).
 
     {b Admission.} At most [max_inflight] queries execute at once;
-    up to [max_queue] more wait. A request arriving with the queue
+    up to [max_queue] more wait — in-process callers and served
+    requests in one bounded queue. A request arriving with the queue
     full is shed with [Error.Overloaded] (counted by the
     [kaskade.shed_requests] metric); a queued request whose budget
     deadline expires before a slot frees fails with
-    [Error.Budget_exhausted]. {!open_} sheds with [Overloaded] when
-    [max_sessions] sessions are already live. *)
+    [Error.Budget_exhausted] at the deadline, without executing.
+    {!open_} sheds with [Overloaded] when [max_sessions] sessions are
+    already live. *)
 
 type manager
 type t
@@ -72,6 +78,33 @@ val run :
     execution. [trace] installs a {!Kaskade_obs.Tracectx} for the
     whole call (admission included), so the qlog record — and any
     spans, if a collection is in flight — carry the request's id. *)
+
+type workers
+(** A running set of worker domains serving one manager's
+    {!dispatch}ed requests. *)
+
+val start_workers : manager -> workers
+(** Spawn [min max_inflight (Domain.recommended_domain_count ())]
+    worker domains — [Kaskade_util.Pool]'s sizing policy. *)
+
+val stop_workers : workers -> unit
+(** Let the workers finish what can run, then join them. Call it once
+    no {!dispatch} is outstanding. *)
+
+val dispatch :
+  ?budget:Kaskade_util.Budget.t ->
+  ?trace:string ->
+  t ->
+  string ->
+  ((Kaskade_exec.Executor.result, Kaskade.Error.t) result -> 'a) ->
+  'a
+(** [dispatch s text k] parses [text], runs it like {!run} and applies
+    [k] to the outcome — all on a worker domain, with [trace]
+    installed there — and blocks the calling thread until [k] returned,
+    re-raising anything [k] raised. A request the admission queue sheds,
+    or whose deadline expires while queued, never reaches a worker:
+    [k] gets the error (or the parse error, if [text] does not parse) on
+    the calling thread. Requires {!start_workers}. *)
 
 val repin : t -> int
 (** Drop the session's pin and re-pin the {e current} overlay version

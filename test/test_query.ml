@@ -239,6 +239,25 @@ let test_analyze_conflicting_var_types () =
   in
   check_bool "conflict detected" true fails
 
+(* Anonymous nodes are numbered per call: checks racing on two
+   domains produce the serial summary every time. *)
+let test_analyze_parallel_anon () =
+  let q =
+    Qparser.parse "MATCH (a:Job)-[:WRITES_TO]->(:File)-[:IS_READ_BY]->(b:Job), (:Job)-[:WRITES_TO]->(f:File) RETURN a, b"
+  in
+  let serial = Analyze.check prov_schema q in
+  check_bool "summary names anonymous nodes" true
+    (List.mem_assoc "_anon1" serial.Analyze.vertex_types && List.mem_assoc "_anon2" serial.Analyze.vertex_types);
+  let run () =
+    let same = ref 0 in
+    for _ = 1 to 500 do
+      if Analyze.check prov_schema q = serial then incr same
+    done;
+    !same
+  in
+  let domains = List.init 2 (fun _ -> Domain.spawn run) in
+  List.iter (fun d -> check_int "every summary equals the serial one" 500 (Domain.join d)) domains
+
 (* ------------------------------------------------------------------ *)
 (* AST utilities                                                       *)
 
@@ -301,6 +320,7 @@ let () =
           Alcotest.test_case "backward normalized" `Quick test_analyze_backward_normalized;
           Alcotest.test_case "errors" `Quick test_analyze_errors;
           Alcotest.test_case "conflicting var types" `Quick test_analyze_conflicting_var_types;
+          Alcotest.test_case "parallel anonymous numbering" `Quick test_analyze_parallel_anon;
         ] );
       ( "ast",
         [

@@ -350,12 +350,12 @@ let test_server_trace_health_metrics () =
   rm_rf dir
 
 (* A server socket in the temp dir, [run] on its own thread. *)
-let start_server name =
+let start_server ?(ks = K.make (prov ())) name =
   let socket =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "kaskade-test-%s-%d.sock" name (Unix.getpid ()))
   in
-  let server = Serve.Server.create ~max_sessions:4 ~socket (K.make (prov ())) in
+  let server = Serve.Server.create ~max_sessions:4 ~socket ks in
   (socket, Thread.create (fun () -> Serve.Server.run server) ())
 
 let stop_server socket th =
@@ -439,6 +439,190 @@ let test_server_line_cap () =
   stop_server socket th
 
 (* ------------------------------------------------------------------ *)
+(* Worker domains                                                      *)
+
+let counter name = Kaskade_obs.Metrics.(counter_value (counter name))
+
+(* Two connections racing 300 traced queries each: the id a worker
+   installs is the request's own, so every qlog record of a session
+   carries an id that session sent. The queries take milliseconds, so
+   runs overlap. *)
+let test_server_trace_per_request () =
+  let socket, th =
+    start_server ~ks:(K.make Kaskade_gen.Provenance_gen.(generate { default with seed = 11 })) "trace"
+  in
+  let q = "SELECT COUNT(*) FROM (MATCH (a:Job)-[r*1..3]->(b:Job) RETURN a, b)" in
+  let cap = Kaskade_obs.Qlog.capacity () in
+  Kaskade_obs.Qlog.set_capacity 2048;
+  Kaskade_obs.Qlog.clear ();
+  let per_conn = 300 in
+  let id k i = Printf.sprintf "%016x" (((k + 1) lsl 40) lor i) in
+  let client k () =
+    let c = Serve.Client.connect socket in
+    let sid = List.assoc "session" (Serve.Client.status (Serve.Client.request c "OPEN")) in
+    let echoed = ref 0 in
+    for i = 1 to per_conn do
+      let kvs = Serve.Client.status (Serve.Client.request c (Printf.sprintf "Q trace=%s %s" (id k i) q)) in
+      if List.assoc_opt "trace" kvs = Some (id k i) then incr echoed
+    done;
+    Serve.Client.close c;
+    (sid, !echoed)
+  in
+  let results = Array.make 2 None in
+  List.iter Thread.join (List.init 2 (fun k -> Thread.create (fun () -> results.(k) <- Some (client k ())) ()));
+  let records = Kaskade_obs.Qlog.records () in
+  Array.iteri
+    (fun k r ->
+      let sid, echoed = Option.get r in
+      check_int "every response echoes its id" per_conn echoed;
+      let mine = List.filter (fun r -> r.Kaskade_obs.Qlog.session = Some sid) records in
+      check_int "one record per request" per_conn (List.length mine);
+      let own r =
+        match r.Kaskade_obs.Qlog.trace with
+        | Some t -> String.length t = 16 && Int64.(shift_right (of_string ("0x" ^ t)) 40) = Int64.of_int (k + 1)
+        | None -> false
+      in
+      check_int "every record carries an id its session sent" per_conn (List.length (List.filter own mine)))
+    results;
+  Kaskade_obs.Qlog.set_capacity cap;
+  stop_server socket th
+
+(* A queued request whose deadline passes while the only slot is held
+   fails at the deadline without executing — over the socket and in
+   process. The slot is held by an in-process run whose qlog append
+   blocks until released, or for 2 s at most, so a request that does
+   not expire fails the timing checks rather than hanging. *)
+let test_queue_deadline_expires () =
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "kaskade-test-deadline-%d.sock" (Unix.getpid ()))
+  in
+  let deadline = 0.05 in
+  let server =
+    Serve.Server.create ~max_sessions:4 ~max_inflight:1 ~max_queue:4 ~deadline_s:deadline ~socket
+      (K.make (prov ()))
+  in
+  let th = Thread.create (fun () -> Serve.Server.run server) () in
+  let mgr = Serve.Server.manager server in
+  let holder = qok (Session.open_ mgr) in
+  let held = Atomic.make false and hold = Atomic.make true in
+  Kaskade_obs.Qlog.set_sink
+    (Some
+       (fun r ->
+         if r.Kaskade_obs.Qlog.session = Some (Session.id holder) then begin
+           Atomic.set held true;
+           let t0 = Unix.gettimeofday () in
+           while Atomic.get hold && Unix.gettimeofday () -. t0 < 2.0 do Thread.delay 0.001 done
+         end));
+  let q = List.hd mvcc_queries in
+  let slow = Thread.create (fun () -> ignore (Session.run holder (K.parse q))) () in
+  while not (Atomic.get held) do Thread.delay 0.001 done;
+  let runs = counter "executor.queries_run" in
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
+  in
+  let c = Serve.Client.connect socket in
+  ignore (Serve.Client.request c "OPEN");
+  let kvs, dt = timed (fun () -> Serve.Client.status (Serve.Client.request c ("Q " ^ q))) in
+  check_string "socket request expires typed" "budget_exhausted" (List.assoc "label" kvs);
+  check_bool "socket request expires within deadline + 100 ms" true (dt <= deadline +. 0.1);
+  let waiter = qok (Session.open_ mgr) in
+  let r, dt =
+    timed (fun () -> Session.run ~budget:(Budget.create ~deadline_s:deadline ()) waiter (K.parse q))
+  in
+  (match r with
+  | Error (K.Error.Budget_exhausted _) -> ()
+  | _ -> Alcotest.fail "in-process queued request did not expire");
+  check_bool "in-process request expires within deadline + 100 ms" true (dt <= deadline +. 0.1);
+  check_int "no expired request executed" runs (counter "executor.queries_run");
+  check_int "queue drained" 0 (Session.queue_depth mgr);
+  Atomic.set hold false;
+  Thread.join slow;
+  Kaskade_obs.Qlog.set_sink None;
+  Session.close waiter;
+  Session.close holder;
+  check_string "served after the slot frees" "ok"
+    (List.assoc "_status" (Serve.Client.status (Serve.Client.request c ("Q " ^ q))));
+  ignore (Serve.Client.request c "SHUTDOWN");
+  Serve.Client.close c;
+  Thread.join th
+
+(* [run] joins its worker domains: 70 servers in a row would pass the
+   runtime's 128-domain cap if any of them left its workers behind. *)
+let test_server_joins_workers () =
+  let ks = K.make (prov ()) in
+  let q = List.hd mvcc_queries in
+  for i = 1 to 70 do
+    let socket =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "kaskade-test-join-%d.sock" (Unix.getpid ()))
+    in
+    let server = Serve.Server.create ~socket ks in
+    let returned = Atomic.make false in
+    let th =
+      Thread.create
+        (fun () ->
+          Fun.protect ~finally:(fun () -> Atomic.set returned true) (fun () -> Serve.Server.run server))
+        ()
+    in
+    let c = Serve.Client.connect socket in
+    ignore (Serve.Client.request c "OPEN");
+    check_string (Printf.sprintf "server %d answers" i) "ok"
+      (List.assoc "_status" (Serve.Client.status (Serve.Client.request c ("Q " ^ q))));
+    ignore (Serve.Client.request c "SHUTDOWN");
+    Serve.Client.close c;
+    Thread.join th;
+    check_bool (Printf.sprintf "server %d returned" i) true (Atomic.get returned)
+  done
+
+(* Expansions are counted per traversal and added once: the
+   [executor.expand_steps] delta of each query is the same on the main
+   domain, on a spawned domain and through a server's workers, and
+   equals the per-expansion count the executor kept before. *)
+let test_expand_steps_batched () =
+  let g = prov () in
+  let queries =
+    [ "MATCH (a:Job)-[r*1..3]->(b:Job) RETURN a, b";
+      "MATCH (a:Job)-[r*2..3]->(b:Job) RETURN a, b";
+      "MATCH (f:File)<-[r*1..2]-(a:Job) RETURN f, a" ]
+  in
+  let expected =
+    [ (Executor.Distinct_endpoints, [ 555; 557; 314 ]); (Executor.All_trails, [ 1576; 1576; 638 ]) ]
+  in
+  let delta f =
+    let before = counter "executor.expand_steps" in
+    f ();
+    counter "executor.expand_steps" - before
+  in
+  List.iter
+    (fun (mode, expect) ->
+      let local () =
+        let ctx = Executor.create ~mode ~planner:true g in
+        List.map (fun q -> delta (fun () -> ignore (Executor.run ctx (K.parse q)))) queries
+      in
+      let main = local () in
+      let spawned = Domain.join (Domain.spawn local) in
+      let socket =
+        Filename.concat (Filename.get_temp_dir_name ())
+          (Printf.sprintf "kaskade-test-steps-%d.sock" (Unix.getpid ()))
+      in
+      let server = Serve.Server.create ~mode ~socket (K.make g) in
+      let th = Thread.create (fun () -> Serve.Server.run server) () in
+      let c = Serve.Client.connect socket in
+      ignore (Serve.Client.request c "OPEN");
+      let served = List.map (fun q -> delta (fun () -> ignore (Serve.Client.request c ("Q " ^ q)))) queries in
+      ignore (Serve.Client.request c "SHUTDOWN");
+      Serve.Client.close c;
+      Thread.join th;
+      let ints = Alcotest.(list int) in
+      Alcotest.check ints "per-expansion count" expect main;
+      Alcotest.check ints "spawned domain" main spawned;
+      Alcotest.check ints "through the server" main served)
+    expected
+
+(* ------------------------------------------------------------------ *)
 (* Deprecated wrappers (out-of-tree compatibility)                     *)
 
 (* In-tree, deprecated-API use is a build error ([-alert @deprecated]
@@ -487,6 +671,11 @@ let () =
             test_server_trace_health_metrics;
           Alcotest.test_case "finished connections are reaped" `Slow test_server_reaps_handlers;
           Alcotest.test_case "request line is bounded" `Slow test_server_line_cap ] );
+      ( "workers",
+        [ Alcotest.test_case "per-request trace ids" `Slow test_server_trace_per_request;
+          Alcotest.test_case "queued deadline expires" `Slow test_queue_deadline_expires;
+          Alcotest.test_case "run joins its workers" `Slow test_server_joins_workers;
+          Alcotest.test_case "expand_steps batched" `Slow test_expand_steps_batched ] );
       ( "compat",
         [ Alcotest.test_case "deprecated wrappers" `Quick Compat.test_deprecated_create_run ] );
     ]
