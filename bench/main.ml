@@ -3,162 +3,52 @@
    Usage:
      bench/main.exe                 run every experiment
      bench/main.exe fig7 table3     run selected experiments
-     bench/main.exe --scale 0.5 ... shrink/grow datasets
-     bench/main.exe --bechamel      Bechamel micro-benchmarks (one
-                                    Test.make per reproduced artifact)
-     bench/main.exe microbench --smoke
-                                    tiny fixture run with hard
-                                    assertions (CI)
-     bench/main.exe maintenance [--smoke]
-                                    incremental refresh vs full
-                                    rebuild sweep (every refresh
-                                    checked against its rebuild)
-     bench/main.exe faults [--smoke]
-                                    degradation drill: injected
-                                    refresh failures open the circuit
-                                    breaker, queries degrade to
-                                    correct base-graph answers,
-                                    deadlines surface as typed errors
+     bench/main.exe --scale 0.5 ... shrink/grow datasets (positive float)
+     bench/main.exe smoke           the two scaling gates: connector
+                                    materialization and sharded
+                                    typed_scan at 4 vs 1 domains; one
+                                    PASS/FAIL line each, exit 1 if
+                                    either failed
 
-     bench/main.exe regress [--smoke]
-                                    fixed facade workload vs the
-                                    committed bench_baseline.json:
-                                    routing + rows exact, speedup
-                                    within tolerance (full mode
-                                    rewrites the baseline)
+   Experiment ids: table3 table4 fig5 fig6 fig7 fig5k fig8 catalog enum
+   select e2e microbench shard maintenance serve recovery (see DESIGN.md's
+   experiment index), plus smoke, which only runs when named. The
+   experiments assert nothing; correctness checks live in the alcotest
+   suites under test/. *)
 
-     bench/main.exe serve [--smoke]
-                                    concurrency drill over the line
-                                    protocol: 4 readers pinned to the
-                                    opening snapshot + 1 writer, every
-                                    read byte-identical to a serial
-                                    run, sheds typed + counted, server
-                                    live after; also times the
-                                    writer's batch stream with and
-                                    without an fsync-always WAL
-                                    (serve_wal in bench_metrics.json)
-
-     bench/main.exe recovery [--smoke]
-                                    durability drill: a seeded fault
-                                    kills a batch mid-WAL-append, then
-                                    recovery (newest snapshot + WAL
-                                    tail replay) must rebuild a store
-                                    identical to a never-crashed twin,
-                                    count the torn record, and keep
-                                    serving (full mode adds an
-                                    fsync-policy cost sweep)
-
-   Experiment ids: table3 table4 fig5 fig6 fig7 fig8 catalog enum
-   select e2e microbench maintenance faults regress serve recovery
-   (see DESIGN.md's experiment index). *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  (* One Test.make per table/figure: each measures the experiment's
-     representative unit of work so Bechamel's statistics apply. *)
-  let d = Datasets.prov_raw in
-  let filter = Datasets.filter_graph d in
-  let conn = Datasets.connector_graph d in
-  let filter_ctx = Kaskade_exec.Executor.create filter in
-  let conn_ctx = Kaskade_exec.Executor.create conn in
-  let q4 = Queries.q4 d in
-  let schema = Kaskade_gen.Provenance_gen.schema in
-  let q1_parsed = Kaskade.parse (Option.get (Queries.q1 d).Queries.raw) in
-  let small =
-    Kaskade_gen.Provenance_gen.(generate { default with jobs = 500; files = 1_000; seed = 3 })
-  in
-  let small_stats = Kaskade_graph.Gstats.compute small in
-  let tests =
-    [ Test.make ~name:"table3/generate-prov"
-        (Staged.stage (fun () ->
-             ignore
-               Kaskade_gen.Provenance_gen.(
-                 generate { default with jobs = 500; files = 1_000; seed = 3 })));
-      Test.make ~name:"table4/parse-workload"
-        (Staged.stage (fun () ->
-             List.iter
-               (fun (q : Queries.bench_query) ->
-                 match q.Queries.raw with Some s -> ignore (Kaskade.parse s) | None -> ())
-               (Queries.workload d)));
-      Test.make ~name:"fig5/estimate-2hop"
-        (Staged.stage (fun () ->
-             ignore (Kaskade.Estimator.estimate_paths small_stats ~k:2 ~alpha:95.0)));
-      Test.make ~name:"fig6/materialize-connector"
-        (Staged.stage (fun () ->
-             ignore
-               (Kaskade_views.Materialize.k_hop_connector small ~src_type:"Job" ~dst_type:"Job"
-                  ~k:2)));
-      Test.make ~name:"fig7/q4-filter"
-        (Staged.stage (fun () ->
-             ignore (Kaskade_exec.Executor.run_string filter_ctx (Option.get q4.Queries.raw))));
-      Test.make ~name:"fig7/q4-connector"
-        (Staged.stage (fun () ->
-             ignore
-               (Kaskade_exec.Executor.run_string conn_ctx (Option.get q4.Queries.over_connector))));
-      Test.make ~name:"fig8/degree-dist"
-        (Staged.stage (fun () -> ignore (Kaskade_algo.Degree_dist.of_graph small)));
-      Test.make ~name:"enum/constraint-based"
-        (Staged.stage (fun () -> ignore (Kaskade.Enumerate.enumerate schema q1_parsed)));
-      Test.make ~name:"select/knapsack"
-        (Staged.stage (fun () ->
-             ignore
-               (Kaskade.Selection.select small_stats schema ~queries:[ q1_parsed ]
-                  ~budget_edges:100_000)))
-    ]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analyzed =
-        Analyze.all
-          (Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "%-32s %14.0f ns/run\n%!" name est
-          | _ -> Printf.printf "%-32s (no estimate)\n%!" name)
-        analyzed)
-    tests
+let usage () =
+  Printf.eprintf "usage: %s [--scale POSITIVE_FLOAT] [EXPERIMENT ...]\n" Sys.argv.(0);
+  Printf.eprintf "experiments: %s smoke\n"
+    (String.concat " " (List.map fst Exps.all_experiments));
+  exit 2
 
 let () =
-  let rec parse (scale, bechamel, ids) = function
-    | [] -> (scale, bechamel, List.rev ids)
-    | "--scale" :: v :: rest -> parse (float_of_string v, bechamel, ids) rest
-    | "--bechamel" :: rest -> parse (scale, true, ids) rest
-    | "--smoke" :: rest ->
-      Exps.smoke := true;
-      parse (scale, bechamel, ids) rest
-    | id :: rest -> parse (scale, bechamel, id :: ids) rest
+  let gates_failed = ref false in
+  let known =
+    Exps.all_experiments
+    @ [ ("smoke", fun () -> if not (Exps.smoke ()) then gates_failed := true) ]
   in
-  let scale, bechamel, selected =
-    parse (1.0, false, []) (List.tl (Array.to_list Sys.argv))
+  let rec parse (scale, ids) = function
+    | [] -> (scale, List.rev ids)
+    | "--scale" :: v :: rest -> begin
+      match float_of_string_opt v with
+      | Some x when x > 0.0 && Float.is_finite x -> parse (x, ids) rest
+      | _ -> usage ()
+    end
+    | id :: rest -> (
+      match List.assoc_opt id known with
+      | Some f -> parse (scale, (id, f) :: ids) rest
+      | None -> usage ())
   in
+  let scale, selected = parse (1.0, []) (List.tl (Array.to_list Sys.argv)) in
   Datasets.scale := scale;
   (* Long runs stay narratable: every 50th facade query prints one
      status line (outcome mix + latency quantiles) from the query
      log instead of minutes of silence. *)
   Kaskade_obs.Qlog.set_notifier ~every:50
     (Some (fun line -> Printf.printf "[%s]\n%!" line));
-  if bechamel then bechamel_tests ()
-  else begin
-    let to_run =
-      if selected = [] then Exps.all_experiments
-      else
-        List.map
-          (fun id ->
-            match List.assoc_opt id Exps.all_experiments with
-            | Some f -> (id, f)
-            | None ->
-              Printf.eprintf "unknown experiment %s (known: %s)\n" id
-                (String.concat " " (List.map fst Exps.all_experiments));
-              exit 1)
-          selected
-    in
-    let t0 = Kaskade_util.Mclock.now_s () in
-    List.iter (fun (_, f) -> f ()) to_run;
-    Printf.printf "\ntotal bench time: %.1fs\n" (Kaskade_util.Mclock.now_s () -. t0)
-  end
+  let to_run = if selected = [] then Exps.all_experiments else selected in
+  let t0 = Kaskade_util.Mclock.now_s () in
+  List.iter (fun (_, f) -> f ()) to_run;
+  Printf.printf "\ntotal bench time: %.1fs\n" (Kaskade_util.Mclock.now_s () -. t0);
+  if !gates_failed then exit 1

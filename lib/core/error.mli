@@ -55,4 +55,4 @@ val of_exn : exn -> t option
 val guard : (unit -> 'a) -> ('a, t) result
 (** Run a thunk, catching exactly the exceptions {!of_exn} classifies
     — anything else propagates. The building block of
-    [Kaskade.run_result]. *)
+    [Kaskade.query]. *)

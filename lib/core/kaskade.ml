@@ -208,28 +208,6 @@ let make ?(config = Config.default) graph =
     t.store <- Some store);
   t
 
-let create ?(alpha = 95.0) ?(mode = Executor.Distinct_endpoints) ?pool ?(shards = 1)
-    ?(shard_policy = Shard.Hash) ?(auto_refresh = true) ?(compact_threshold = 0.25)
-    ?(breaker_threshold = 3) ?(breaker_cooldown_s = 30.0) ?(plan_cache = true) graph =
-  make
-    ~config:
-      {
-        Config.alpha;
-        mode;
-        pool;
-        shards;
-        shard_policy;
-        auto_refresh;
-        compact_threshold;
-        breaker_threshold;
-        breaker_cooldown_s;
-        plan_cache;
-        data_dir = None;
-        fsync_policy = Wal.Always;
-        snapshot_every = 512;
-      }
-    graph
-
 (* Any graph or catalog change makes every cached routing decision
    suspect — a view may newly apply, stop applying, or have different
    statistics — so the whole cache is dropped and the epoch moves on
@@ -1292,10 +1270,9 @@ module Advisor = struct
       ]
 end
 
-(* Typed-error entry points ------------------------------------------ *)
+(* Typed-error parse entry point -------------------------------------- *)
 
 let parse_result src = Error.guard (fun () -> parse src)
-let run_result ?budget t q = Error.guard (fun () -> run ?budget t q)
 
 (* Unified entry point ------------------------------------------------ *)
 

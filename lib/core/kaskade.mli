@@ -100,7 +100,7 @@ module Config : sig
             [kaskade.plan_cache_*] counters/gauge and the [plan_cache]
             field of {!explain} reports. [false] plans every query
             from scratch (the cold-path baseline the
-            [bench microbench] plan-cache comparison measures
+            [bench e2e] plan-cache comparison measures
             against). *)
     data_dir : string option;
         (** [Some dir] makes the facade {e durable}: every update
@@ -131,23 +131,6 @@ val make : ?config:Config.t -> Kaskade_graph.Graph.t -> t
 (** Build a facade over [graph] (default {!Config.default}). The
     facade owns a [Graph.Overlay] delta layer over [graph]; mutate it
     through {!Update} only. *)
-
-val create :
-  ?alpha:float ->
-  ?mode:Kaskade_exec.Executor.mode ->
-  ?pool:Kaskade_util.Pool.t ->
-  ?shards:int ->
-  ?shard_policy:Kaskade_graph.Shard.policy ->
-  ?auto_refresh:bool ->
-  ?compact_threshold:float ->
-  ?breaker_threshold:int ->
-  ?breaker_cooldown_s:float ->
-  ?plan_cache:bool ->
-  Kaskade_graph.Graph.t ->
-  t
-[@@deprecated "use Kaskade.make ?config instead; each optional argument is a Config.t field"]
-(** @deprecated Thin wrapper over {!make}: every optional argument is
-    the {!Config.t} field of the same name, with the same default. *)
 
 val graph : t -> Kaskade_graph.Graph.t
 (** Current frozen snapshot — base plus any applied updates. Cheap
@@ -352,8 +335,8 @@ val query :
     [kaskade.query_timeouts]) and leaves the system consistent.
 
     [target = Base] skips planning and the query log and evaluates
-    directly on the base graph (the old [run_raw] — the baseline the
-    bench harness diffs view routing against). [target = View v]
+    directly on the base graph (the baseline view routing is diffed
+    against). [target = View v]
     evaluates an (already rewritten) query on view [v] with no
     base-graph fallback: a stale view is repaired first under
     [auto_refresh] (a failed or breaker-blocked repair is
@@ -361,24 +344,6 @@ val query :
     otherwise, and an unknown name is [Error (Plan _)]. The returned
     [run_target] reports where the query actually ran. Truly
     unexpected exceptions still propagate (see {!Error.of_exn}). *)
-
-val run :
-  ?budget:Kaskade_util.Budget.t ->
-  t ->
-  Kaskade_query.Ast.t ->
-  Kaskade_exec.Executor.result * run_target
-[@@deprecated "use Kaskade.query (returns a result instead of raising)"]
-(** @deprecated The raising form of {!query}[ ~target:Auto]: governed
-    failures ([Budget.Exhausted], parse/plan errors, ...) escape as
-    exceptions. *)
-
-val run_result :
-  ?budget:Kaskade_util.Budget.t ->
-  t ->
-  Kaskade_query.Ast.t ->
-  (Kaskade_exec.Executor.result * run_target, Error.t) result
-[@@deprecated "use Kaskade.query"]
-(** @deprecated Exactly {!query}[ ~target:Auto]. *)
 
 (** {1 EXPLAIN / PROFILE}
 
@@ -458,12 +423,6 @@ val report_to_string : report -> string
 val report_json : report -> Kaskade_obs.Report.json
 (** Structured form of the whole report, including the plan tree, the
     selection trace, per-candidate freshness and refresh decisions. *)
-
-val run_raw :
-  ?budget:Kaskade_util.Budget.t -> t -> Kaskade_query.Ast.t -> Kaskade_exec.Executor.result
-[@@deprecated "use Kaskade.query ~target:Base"]
-(** @deprecated The raising form of {!query}[ ~target:Base]: always
-    evaluate on the (current) base graph. *)
 
 (** {1 Workload advisor}
 

@@ -373,7 +373,7 @@ let typed_scan ?pool t ~etype =
      and it is per shard (closure allocation, span bookkeeping), so at
      S shards a sequential scan would pay it S times. The direct
      closure-free loop keeps typed_scan at single-CSR speed on narrow
-     pools (the [bench shard] smoke asserts exactly this). *)
+     pools (the [bench smoke] typed_scan gate asserts exactly this). *)
   if Pool.effective_workers pool <= 1 && not (Trace.enabled ()) then begin
     let r = ref 0 and s = ref 0 in
     for i = 0 to t.s - 1 do

@@ -105,8 +105,9 @@ val typed_scan : ?pool:Kaskade_util.Pool.t -> t -> etype:int -> int * int
     adjacency entries, [checksum] folds the resolved global
     destination vids — both are invariant across shard counts and pool
     widths, and equal to a single-CSR walk, iff the partitioned layout
-    preserves the adjacency relation. The [bench shard] scaling kernel
-    and smoke identity check. *)
+    preserves the adjacency relation. The kernel [bench shard] times,
+    the [bench smoke] typed_scan gate runs, and test_shard's identity
+    cases check. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** One line: shard count, policy, sizes, cut edges, per-shard

@@ -1,6 +1,7 @@
 (** Structured query log: a process-global bounded ring of per-query
-    records, appended by the facade on every [Kaskade.run] /
-    [run_result] / [profile] — successes and failures alike. The ring
+    records, appended by the facade on every [Kaskade.query] (with the
+    default [Auto] target) and [Kaskade.profile] — successes and
+    failures alike. The ring
     is the raw material for two consumers: the {!Kaskade.Advisor},
     which replays the logged workload through enumeration + selection
     to recommend view changes, and the JSONL sink/loader, which moves

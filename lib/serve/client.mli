@@ -1,5 +1,5 @@
 (** Minimal blocking client for the {!Wire} line protocol — what the
-    bench harness, smoke tests, and [kaskade_cli serve --probe] use to
+    bench harness, the test suites, and [kaskade_cli serve --probe] use to
     drive a server in-process or across processes. *)
 
 type t

@@ -708,6 +708,67 @@ let prop_modes_agree =
       let t = Kaskade_exec.Executor.create ~mode:Kaskade_exec.Executor.All_trails g in
       pairs_of d g src = pairs_of t g src)
 
+(* A fixed facade workload on prov (400 jobs, 800 files, seed 9) with
+   views chosen at a budget of 10x the edge count. Pins the routing
+   each query takes and its row count, and checks that the Auto answer,
+   rendered row by row in base-graph terms (view vertex ids mapped back
+   through [new_of_old]) and sorted, is byte-identical to
+   [~target:Base]. *)
+let test_facade_workload_routing_pinned () =
+  let module Row = Kaskade_exec.Row in
+  let g = Kaskade_gen.Provenance_gen.(generate { default with jobs = 400; files = 800; seed = 9 }) in
+  let ks = K.make g in
+  let workload =
+    [ ("MATCH (s:Job)-[r*1..4]->(desc:Job) RETURN s, desc", "KEEP_V_FILE_JOB", 1909);
+      ("MATCH (s:Job)<-[r*1..4]-(anc:Job) RETURN s, anc", "KEEP_V_FILE_JOB", 1909);
+      ( "SELECT s, n, MAX(r) FROM (MATCH (s:Job)-[r*1..4]->(n) RETURN s, n, r) GROUP BY s, n",
+        "raw",
+        9040 ) ]
+  in
+  let queries = List.map (fun (src, _, _) -> K.parse src) workload in
+  let sel = K.select_views ks ~queries ~budget_edges:(10 * Graph.n_edges g) in
+  ignore (K.materialize_selected ks sel);
+  let rendered how = function
+    | Kaskade_exec.Executor.Affected n -> Printf.sprintf "affected %d\n" n
+    | Kaskade_exec.Executor.Table t ->
+      let base_of =
+        match how with
+        | K.Raw -> Fun.id
+        | K.Via_view name ->
+          let n2o =
+            match Catalog.find_by_name (K.catalog ks) name with
+            | Some e -> e.Catalog.materialized.Materialize.new_of_old
+            | None -> Alcotest.failf "view %s not in the catalog" name
+          in
+          let inv = Array.make (Array.length n2o) (-1) in
+          Array.iteri (fun o n -> if n >= 0 then inv.(n) <- o) n2o;
+          fun v -> inv.(v)
+      in
+      let value = function
+        | Row.V v -> Row.rval_to_string g (Row.V (base_of v))
+        | Row.E _ when how <> K.Raw -> Alcotest.fail "view edge ids have no base-graph meaning"
+        | v -> Row.rval_to_string g v
+      in
+      String.concat "\t" (Array.to_list t.Row.cols)
+      ^ "\n"
+      ^ String.concat "\n"
+          (List.sort compare
+             (List.map (fun r -> String.concat "\t" (Array.to_list (Array.map value r))) t.Row.rows))
+  in
+  List.iter2
+    (fun (src, via, rows) q ->
+      let auto, how = krun ks q in
+      let base, _ = qok (K.query ~target:K.Base ks q) in
+      check_string (src ^ ": routing") via
+        (match how with K.Raw -> "raw" | K.Via_view v -> v);
+      let n_rows = function
+        | Kaskade_exec.Executor.Table t -> Row.n_rows t
+        | Kaskade_exec.Executor.Affected n -> n
+      in
+      check_int (src ^ ": rows") rows (n_rows auto);
+      check_string (src ^ ": Auto rows = Base rows") (rendered K.Raw base) (rendered how auto))
+    workload queries
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest [ prop_rewrite_equivalent; prop_modes_agree ]
 
@@ -781,6 +842,7 @@ let () =
           Alcotest.test_case "Q7/Q8 pipeline on view" `Quick test_facade_q7_q8_pipeline_on_view;
           Alcotest.test_case "enumerate via facade" `Quick test_facade_enumerate_via_facade;
           Alcotest.test_case "run_on_view unknown" `Quick test_facade_run_on_view_unknown;
+          Alcotest.test_case "workload routing pinned" `Quick test_facade_workload_routing_pinned;
         ] );
       ( "plan_cache",
         [

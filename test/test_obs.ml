@@ -14,10 +14,7 @@ module Planner = Kaskade_exec.Planner
 module Row = Kaskade_exec.Row
 module Pool = Kaskade_util.Pool
 
-
-(* All tests drive the post-redesign facade API: [Kaskade.make] +
-   [Kaskade.query] (the deprecated wrappers are compile errors in-tree;
-   test_serve.ml keeps one compat case for them). *)
+(* All tests drive the facade through [Kaskade.make] + [Kaskade.query]. *)
 let qok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected facade error: %s" (Kaskade.Error.to_string e)

@@ -215,6 +215,60 @@ let test_error_taxonomy () =
     (try Budget.Faults.with_spec "nonsense" (fun () -> false)
      with Invalid_argument _ -> true)
 
+(* The degradation drill on a 60-author dblp graph (seed 11), breaker
+   threshold 3 with a cooldown longer than the drill: with every
+   refresh failing, four queries in a row are answered from the base
+   graph with the view-free twin's rows while the breaker opens; a 0 s
+   deadline and an injected executor timeout are typed
+   [Budget_exhausted]; and the four governance counters move by
+   exactly 3 failures, 1 opening, 3 fallbacks and 2 timeouts. *)
+let test_degradation_drill () =
+  let threshold = 3 in
+  let ks =
+    K.make
+      ~config:
+        { K.Config.default with breaker_threshold = threshold; breaker_cooldown_s = 3600.0 }
+      Kaskade_gen.Dblp_gen.(generate { default with authors = 60; pubs = 120; venues = 8; seed = 11 })
+  in
+  ignore (K.materialize ks khop);
+  make_stale ks;
+  let twin = K.make (K.graph ks) in
+  let expected = rows_of (fst (krun twin coauthor_query)) in
+  let counters =
+    List.map Metrics.counter
+      [ "kaskade.refresh_failures"; "kaskade.breaker_open"; "kaskade.fallback_runs";
+        "kaskade.query_timeouts" ]
+  in
+  let before = List.map Metrics.counter_value counters in
+  Budget.Faults.(with_faults [ fault "maintain.refresh" Fail ]) (fun () ->
+      for i = 1 to threshold + 1 do
+        let r, how = krun ks coauthor_query in
+        check_bool (Printf.sprintf "query %d answered on the base graph" i) true (how = K.Raw);
+        check_bool (Printf.sprintf "query %d rows equal the view-free twin's" i) true
+          (rows_of r = expected)
+      done);
+  (match K.breaker_states ks with
+  | [ (name, br) ] ->
+    check_string "quarantined view" view_name name;
+    check_bool "breaker open" true (Breaker.state br = Breaker.Open);
+    check_int "opened after the threshold" threshold (Breaker.failures br)
+  | _ -> Alcotest.fail "expected one breaker");
+  (match K.query ~budget:(Budget.create ~deadline_s:0.0 ()) ks coauthor_query with
+  | Error (Error.Budget_exhausted _) -> ()
+  | Ok _ -> Alcotest.fail "0 s deadline did not exhaust"
+  | Error e -> Alcotest.failf "0 s deadline misclassified: %s" (Error.to_string e));
+  Budget.Faults.with_spec "executor.run=timeout" (fun () ->
+      match K.query ks coauthor_query with
+      | Error (Error.Budget_exhausted _) -> ()
+      | Ok _ -> Alcotest.fail "injected executor timeout ignored"
+      | Error e -> Alcotest.failf "injected timeout misclassified: %s" (Error.to_string e));
+  (* threshold failures; one opening; a fallback for the opening run,
+     the quarantined one and the executor-timeout run (it plans around
+     the quarantined view before the fault fires); two timeouts *)
+  Alcotest.(check (list int))
+    "refresh_failures, breaker_open, fallback_runs, query_timeouts deltas" [ threshold; 1; 3; 2 ]
+    (List.map2 (fun c b -> Metrics.counter_value c - b) counters before)
+
 let () =
   Alcotest.run "kaskade_robustness"
     [
@@ -233,6 +287,8 @@ let () =
         [
           Alcotest.test_case "opens, quarantines, falls back, recovers" `Quick
             test_breaker_quarantine_fallback_recovery;
+          Alcotest.test_case "degradation drill" `Quick
+            test_degradation_drill;
         ] );
       ( "errors",
         [

@@ -1,9 +1,8 @@
 (* The serving layer end to end: overlay snapshot pinning, the
    session/MVCC property (concurrent pinned readers are byte-identical
    to a serial run at their pinned version while a writer streams
-   batches), admission control sheds as typed [Overloaded], the wire
-   protocol round-trips, and the deprecated facade wrappers still
-   work for out-of-tree callers. *)
+   batches), admission control sheds as typed [Overloaded], and the
+   wire protocol round-trips. *)
 
 open Kaskade_graph
 module K = Kaskade
@@ -231,6 +230,48 @@ let test_wire_fields_roundtrip () =
   | _ -> Alcotest.failf "err fields misparsed: %s" (Wire.err e));
   check_bool "row lines are not fields" true (Wire.fields "| a -> b" = None)
 
+(* Hostile input: the parsers of request and response lines must
+   return (an [Error] or [None] for garbage), never raise, on arbitrary
+   bytes and on valid lines with bytes inserted, deleted, replaced or
+   cut off. *)
+let wire_seed_lines =
+  [ "PING"; "OPEN"; "Q MATCH (a:Job) RETURN a"; "ROWS MATCH (a:Job) RETURN a";
+    "Q trace=00deadbeef123abc MATCH (a:Job)-[r*1..2]->(b:Job) RETURN a, b"; "REPIN";
+    "UPDATE insert-vertex:File;insert-edge:3:4:WRITES_TO;delete-edge:1:2:IS_READ_BY"; "STATS";
+    "HEALTH"; "METRICS"; "CLOSE"; "SHUTDOWN";
+    Wire.ok [ ("rows", "12"); ("checksum", "ab12"); ("version", "3") ];
+    Wire.err (K.Error.Overloaded { resource = "queue"; capacity = 4; in_use = 4 });
+    Wire.err_msg ~label:"proto" "request line exceeds 1048576 bytes" ]
+
+let mutate line edits =
+  List.fold_left
+    (fun s (kind, pos, c) ->
+      let n = String.length s in
+      let i = if n = 0 then 0 else pos mod (n + 1) in
+      match kind mod 4 with
+      | 0 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+      | 1 when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+      | 2 when i < n -> String.mapi (fun j x -> if j = i then c else x) s
+      | _ -> String.sub s 0 i)
+    line edits
+
+let wire_never_raises s =
+  match (Wire.parse_request s, Wire.fields s) with
+  | _ -> true
+  | exception e -> QCheck.Test.fail_reportf "raised %s on %S" (Printexc.to_string e) s
+
+let prop_wire_arbitrary_bytes =
+  QCheck.Test.make ~name:"parsers never raise on arbitrary bytes" ~count:2000
+    QCheck.(string_gen Gen.char)
+    wire_never_raises
+
+let prop_wire_mutated_lines =
+  QCheck.Test.make ~name:"parsers never raise on mutated lines" ~count:2000
+    QCheck.(
+      pair (oneofl wire_seed_lines)
+        (small_list (triple small_nat small_nat (make ~print:Print.char Gen.char))))
+    (fun (line, edits) -> wire_never_raises (mutate line edits))
+
 (* ------------------------------------------------------------------ *)
 (* Server over a real socket                                           *)
 
@@ -439,6 +480,197 @@ let test_server_line_cap () =
   stop_server socket th
 
 (* ------------------------------------------------------------------ *)
+(* Concurrency and health drill over the socket                        *)
+
+let string_contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  n = 0 || go 0
+
+(* On prov (300 jobs, 600 files, seed 42), max 6 sessions, 4 inflight,
+   queue 8: HEALTH is ok on the fresh server; 4 readers OPEN (pinning
+   the opening version) and replay a typed 1-hop query 25 times each
+   while a writer pushes 60 two-vertex UPDATE batches, and every read's
+   checksum and version must equal a serial run on the opening graph;
+   6 more OPENs past the session cap shed as typed [overloaded]; STATS
+   counts the sheds and the writer's versions; PING still answers.
+   Then HEALTH turns degraded with a [stale_views] reason once a
+   materialized view goes stale through a wire UPDATE, and ok again
+   after an in-process refresh, and the server's time-series ring holds
+   both the shed storm and the stale window. *)
+let test_concurrency_health_drill () =
+  let g = Kaskade_gen.Provenance_gen.(generate { default with jobs = 300; files = 600; seed = 42 }) in
+  let ks = K.make g in
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "kaskade-test-drill-%d.sock" (Unix.getpid ()))
+  in
+  let max_sessions = 6 in
+  (* A tight sampler and a zero stale-view threshold let the drill
+     force ok -> degraded -> ok within the run. *)
+  let server =
+    Serve.Server.create ~max_sessions ~max_inflight:4 ~max_queue:8 ~sample_every_s:0.05
+      ~timeseries_capacity:8192
+      ~thresholds:{ Kaskade_obs.Health.default_thresholds with Kaskade_obs.Health.max_stale_views = 0 }
+      ~socket ks
+  in
+  let server_th = Thread.create (fun () -> Serve.Server.run server) () in
+  let qtext = "MATCH (a:Job)-[:WRITES_TO]->(f:File) RETURN a, f" in
+  let reference = Wire.checksum (serial_render g (K.parse qtext)) in
+  let field what kvs k =
+    match List.assoc_opt k kvs with
+    | Some v -> v
+    | None -> Alcotest.failf "%s: response has no %s" what k
+  in
+  let expect_ok c line =
+    let kvs = Serve.Client.status (Serve.Client.request c line) in
+    check_string (line ^ " accepted") "ok" (field line kvs "_status");
+    kvs
+  in
+  let c0 = Serve.Client.connect socket in
+  check_string "fresh server is healthy" "ok" (field "HEALTH" (expect_ok c0 "HEALTH") "status");
+  Serve.Client.close c0;
+  let readers = 4 and reads_per_reader = 25 and writer_batches = 60 in
+  (* Threads cannot fail the test directly; they count instead. *)
+  let torn = Atomic.make 0 and rejected = Atomic.make 0 in
+  let clients =
+    List.init readers (fun _ ->
+        let c = Serve.Client.connect socket in
+        (c, int_of_string (field "OPEN" (expect_ok c "OPEN") "version")))
+  in
+  let v0 = snd (List.hd clients) in
+  let reader (c, v_open) =
+    for _ = 1 to reads_per_reader do
+      let kvs = Serve.Client.status (Serve.Client.request c ("Q " ^ qtext)) in
+      if List.assoc_opt "_status" kvs <> Some "ok" then Atomic.incr rejected
+      else if
+        List.assoc_opt "checksum" kvs <> Some reference
+        || List.assoc_opt "version" kvs <> Some (string_of_int v_open)
+      then Atomic.incr torn
+    done
+  in
+  let writer () =
+    let c = Serve.Client.connect socket in
+    for _ = 1 to writer_batches do
+      let kvs =
+        Serve.Client.status (Serve.Client.request c "UPDATE insert-vertex:File;insert-vertex:Job")
+      in
+      if List.assoc_opt "_status" kvs <> Some "ok" then Atomic.incr rejected
+    done;
+    Serve.Client.close c
+  in
+  List.iter Thread.join
+    (Thread.create writer () :: List.map (fun cl -> Thread.create reader cl) clients);
+  check_int "no request rejected" 0 (Atomic.get rejected);
+  check_int "no torn reads" 0 (Atomic.get torn);
+  (* The session cap is global: opens beyond it shed typed and counted. *)
+  let extras = List.init max_sessions (fun _ -> Serve.Client.connect socket) in
+  let sheds =
+    List.fold_left
+      (fun n c ->
+        let kvs = Serve.Client.status (Serve.Client.request c "OPEN") in
+        if field "OPEN" kvs "_status" = "err" then begin
+          check_string "shed is typed" "overloaded" (field "OPEN" kvs "label");
+          n + 1
+        end
+        else n)
+      0 extras
+  in
+  check_bool "opens above the cap shed" true (sheds > 0);
+  let probe = Serve.Client.connect socket in
+  let stats = expect_ok probe "STATS" in
+  check_bool "STATS counts every shed" true (int_of_string (field "STATS" stats "shed") >= sheds);
+  check_bool "STATS shows the writer's versions" true
+    (int_of_string (field "STATS" stats "version") >= v0 + (2 * writer_batches));
+  ignore (expect_ok probe "PING");
+  let wait_status want =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    let rec go () =
+      let kvs = expect_ok probe "HEALTH" in
+      if field "HEALTH" kvs "status" = want || Unix.gettimeofday () > deadline then kvs
+      else begin
+        Thread.delay 0.02;
+        go ()
+      end
+    in
+    go ()
+  in
+  let sel = K.select_views ks ~queries:[ K.parse qtext ] ~budget_edges:(Graph.n_edges g) in
+  check_bool "drill materialized a view" true (K.materialize_selected ks sel <> []);
+  ignore (expect_ok probe "UPDATE insert-vertex:File");
+  let kvs = wait_status "degraded" in
+  check_string "stale views degrade health" "degraded" (field "HEALTH" kvs "status");
+  check_bool "reasons name stale_views" true
+    (string_contains (field "HEALTH" kvs "reasons") "stale_views");
+  (* Hold the degraded state across a few sampler ticks so the ring
+     records the stale window, not just the HEALTH responses. *)
+  Thread.delay 0.2;
+  ignore (K.Update.refresh_views ks);
+  check_string "health recovers after refresh" "ok" (field "HEALTH" (wait_status "ok") "status");
+  let ts = Serve.Server.timeseries server in
+  let stale_level p = Kaskade_obs.Timeseries.gauge_level p "kaskade.stale_views" in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec latest_recovered () =
+    let ok =
+      match Kaskade_obs.Timeseries.latest ts with
+      | Some p -> stale_level p = Some 0.0
+      | None -> false
+    in
+    if ok || Unix.gettimeofday () > deadline then ok
+    else begin
+      Thread.delay 0.02;
+      latest_recovered ()
+    end
+  in
+  check_bool "ring's latest point is recovered" true (latest_recovered ());
+  let pts = Kaskade_obs.Timeseries.points ts in
+  check_bool "ring captured the shed storm" true
+    (List.exists (fun p -> Kaskade_obs.Timeseries.counter_delta p "kaskade.shed_requests" > 0) pts);
+  check_bool "ring captured the stale window" true
+    (List.exists (fun p -> match stale_level p with Some v -> v > 0.0 | None -> false) pts);
+  ignore (expect_ok probe "SHUTDOWN");
+  Serve.Client.close probe;
+  List.iter (fun (c, _) -> Serve.Client.close c) clients;
+  List.iter Serve.Client.close extras;
+  Thread.join server_th
+
+(* The serving writer's batch stream against a durable facade (fsync
+   always, no snapshots): every one of the 60 batches is logged. *)
+let test_wal_logs_every_batch () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "kaskade-test-serve-wal-%d" (Unix.getpid ()))
+  in
+  let rec rm_rf path =
+    match Unix.lstat path with
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+    | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+    | _ -> Sys.remove path
+  in
+  rm_rf dir;
+  let ks =
+    K.make
+      ~config:
+        { K.Config.default with
+          auto_refresh = false; data_dir = Some dir; fsync_policy = Kaskade_store.Wal.Always;
+          snapshot_every = max_int }
+      Kaskade_gen.Provenance_gen.(generate { default with jobs = 300; files = 600; seed = 42 })
+  in
+  let batches = 60 in
+  for _ = 1 to batches do
+    K.Update.batch
+      [ Overlay.Insert_vertex { vtype = "File"; props = [] };
+        Overlay.Insert_vertex { vtype = "Job"; props = [] } ]
+      ks
+  done;
+  (match K.store ks with
+  | Some s -> check_int "every batch logged" batches (Kaskade_store.Store.last_seq s)
+  | None -> Alcotest.fail "durable facade has no store attached");
+  rm_rf dir
+
+(* ------------------------------------------------------------------ *)
 (* Worker domains                                                      *)
 
 let counter name = Kaskade_obs.Metrics.(counter_value (counter name))
@@ -622,31 +854,6 @@ let test_expand_steps_batched () =
       Alcotest.check ints "through the server" main served)
     expected
 
-(* ------------------------------------------------------------------ *)
-(* Deprecated wrappers (out-of-tree compatibility)                     *)
-
-(* In-tree, deprecated-API use is a build error ([-alert @deprecated]
-   in every dune stanza); this module is the one sanctioned exception,
-   proving the wrappers still behave for external callers. *)
-module Compat = struct
-  [@@@alert "-deprecated"]
-
-  let test_deprecated_create_run () =
-    let g = prov () in
-    let old_ks = K.create ~alpha:95.0 ~auto_refresh:false g in
-    let new_ks = K.make ~config:{ K.Config.default with auto_refresh = false } g in
-    let q = K.parse (List.hd mvcc_queries) in
-    let old_r, old_how = K.run old_ks q in
-    let new_r, new_how = qok (K.query new_ks q) in
-    check_bool "same routing" true (old_how = new_how);
-    check_string "same bytes" (Wire.render_result g new_r) (Wire.render_result g old_r);
-    check_string "run_raw = query ~target:Base" (Wire.render_result g (K.run_raw old_ks q))
-      (Wire.render_result g (fst (qok (K.query ~target:K.Base new_ks q))));
-    match K.run_result new_ks q with
-    | Ok (r, _) -> check_string "run_result still typed" (Wire.render_result g new_r) (Wire.render_result g r)
-    | Error e -> Alcotest.failf "run_result failed: %s" (K.Error.to_string e)
-end
-
 let () =
   Alcotest.run "serve"
     [
@@ -664,6 +871,8 @@ let () =
         [
           Alcotest.test_case "parse_request" `Quick test_wire_parse_request;
           Alcotest.test_case "fields round-trip" `Quick test_wire_fields_roundtrip;
+          QCheck_alcotest.to_alcotest prop_wire_arbitrary_bytes;
+          QCheck_alcotest.to_alcotest prop_wire_mutated_lines;
         ] );
       ( "server",
         [ Alcotest.test_case "socket round-trip" `Slow test_server_socket_roundtrip;
@@ -671,11 +880,12 @@ let () =
             test_server_trace_health_metrics;
           Alcotest.test_case "finished connections are reaped" `Slow test_server_reaps_handlers;
           Alcotest.test_case "request line is bounded" `Slow test_server_line_cap ] );
+      ( "drill",
+        [ Alcotest.test_case "pinned readers, sheds, health" `Slow test_concurrency_health_drill;
+          Alcotest.test_case "WAL logs every batch" `Quick test_wal_logs_every_batch ] );
       ( "workers",
         [ Alcotest.test_case "per-request trace ids" `Slow test_server_trace_per_request;
           Alcotest.test_case "queued deadline expires" `Slow test_queue_deadline_expires;
           Alcotest.test_case "run joins its workers" `Slow test_server_joins_workers;
           Alcotest.test_case "expand_steps batched" `Slow test_expand_steps_batched ] );
-      ( "compat",
-        [ Alcotest.test_case "deprecated wrappers" `Quick Compat.test_deprecated_create_run ] );
     ]

@@ -209,6 +209,63 @@ let test_typed_scan_invariant () =
         check_int (Printf.sprintf "%s: typed_scan checksum etype=%d" label ety) !sum ssum
       done)
 
+(* The sharded layer on prov (300 jobs, 600 files, seed 42): four
+   provenance queries (typed 1-hop out and in, variable-length out and
+   in) byte-identical to the unsharded executor; [typed_scan] over
+   WRITES_TO (739 rows on this fixture) equal to a single-CSR walk in
+   rows and destination checksum across pool widths 1 and 4; and the
+   largest shard holding at most twice the per-shard average of
+   memory words. Every check runs at S in {1, 2, 4} under both
+   policies. *)
+let test_prov_fixture () =
+  let g = Kaskade_gen.Provenance_gen.(generate { default with jobs = 300; files = 600; seed = 42 }) in
+  let queries =
+    [ "MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j, f";
+      "MATCH (u:User)-[:SUBMITTED]->(j:Job) RETURN u, j";
+      "MATCH (s:Job)-[r*1..4]->(desc:Job) RETURN s, desc";
+      "MATCH (s:Job)<-[r*1..4]-(anc:Job) RETURN s, anc" ]
+  in
+  let baseline =
+    let ctx = Exec.create g in
+    List.map (fun q -> result_bytes g (Exec.run_string ctx q)) queries
+  in
+  let schema = Graph.schema g in
+  let etid = Schema.edge_type_id schema "WRITES_TO" in
+  let ref_rows = ref 0 and ref_sum = ref 0 in
+  Array.iter
+    (fun v ->
+      Graph.iter_out_etype g v ~etype:etid (fun ~dst ~eid:_ ->
+          Stdlib.incr ref_rows;
+          ref_sum := (!ref_sum + dst) land max_int))
+    (Graph.vertices_of_type g (Schema.edge_src schema etid));
+  check_int "WRITES_TO rows on the fixture" 739 !ref_rows;
+  let pools = [ Kaskade_util.Pool.create ~domains:1 (); Kaskade_util.Pool.create ~domains:4 () ] in
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun s ->
+          let label = Printf.sprintf "policy=%s shards=%d" (Shard.policy_name policy) s in
+          let ctx = Exec.create ~shard_policy:policy ~shards:s g in
+          List.iter2
+            (fun q expected ->
+              Alcotest.(check string) (label ^ ": " ^ q) expected (result_bytes g (Exec.run_string ctx q)))
+            queries baseline;
+          let sh = Shard.of_graph ~policy ~shards:s g in
+          List.iter
+            (fun pool ->
+              let rows, sum = Shard.typed_scan ~pool sh ~etype:etid in
+              let label = Printf.sprintf "%s domains=%d" label (Kaskade_util.Pool.domains pool) in
+              check_int (label ^ ": typed_scan rows") !ref_rows rows;
+              check_int (label ^ ": typed_scan checksum") !ref_sum sum)
+            pools;
+          let biggest =
+            List.fold_left Stdlib.max 0 (List.init s (fun i -> Shard.shard_memory_words sh i))
+          in
+          check_bool (label ^ ": largest shard <= 2x the average") true
+            (biggest * s <= 2 * Shard.memory_words sh))
+        shard_counts)
+    policies
+
 let test_facade_sharded_run () =
   (* The facade path: views selected, materialized and queried through
      sharded contexts must answer exactly like the unsharded facade. *)
@@ -244,5 +301,6 @@ let () =
           Alcotest.test_case "traverse equal" `Quick test_traverse_equal;
           Alcotest.test_case "typed_scan invariant" `Quick test_typed_scan_invariant;
           Alcotest.test_case "facade sharded run" `Quick test_facade_sharded_run;
+          Alcotest.test_case "prov seed 42 fixture" `Quick test_prov_fixture;
         ] );
     ]

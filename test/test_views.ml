@@ -426,6 +426,64 @@ let test_maintain_apply_matches_rebuild () =
     (connector_pairs_by_name rebuilt.Materialize.graph)
     (connector_pairs_by_name incremental.Materialize.graph)
 
+(* A view's vertex set and edge list keyed by base-graph vertex ids:
+   equal for two materializations of one view even when they number
+   view vertices differently. *)
+let canonical_view (m : Materialize.materialized) =
+  let vg = m.Materialize.graph in
+  let o_of_n = Array.make (Graph.n_vertices vg) (-1) in
+  Array.iteri (fun old_v nv -> if nv >= 0 then o_of_n.(nv) <- old_v) m.Materialize.new_of_old;
+  let edges = ref [] in
+  Graph.iter_edges vg (fun ~eid:_ ~src ~dst ~etype ->
+      edges := (o_of_n.(src), o_of_n.(dst), etype) :: !edges);
+  ( List.sort compare
+      (Array.to_list (Array.mapi (fun old_v nv -> (old_v, nv >= 0)) m.Materialize.new_of_old)),
+    List.sort compare !edges )
+
+(* Incremental refresh against a full re-materialization on two
+   seeded fixtures: the 2-hop Job connector over summarized prov (400
+   jobs, 800 files, seed 5), compared with [canonical_view] because the
+   incremental path may number appended vertices differently; and the
+   k=2 ego count over a 2,000-edge road graph (seed 5), compared byte
+   for byte. Batches of 1, 16 and 64 random ops (seed 1000 + batch);
+   every refresh must also stay incremental. *)
+let test_maintain_refresh_equals_rebuild_fixtures () =
+  let prov =
+    (Materialize.materialize
+       Kaskade_gen.Provenance_gen.(generate { default with jobs = 400; files = 800; seed = 5 })
+       (View.Summarizer (View.Vertex_inclusion Kaskade_gen.Provenance_gen.summarized_types)))
+      .Materialize.graph
+  in
+  let road = Kaskade_gen.Road_gen.(generate (scaled ~edges:2_000 ~seed:5)) in
+  let same_bytes (a : Materialize.materialized) (b : Materialize.materialized) =
+    Gio.to_string a.Materialize.graph = Gio.to_string b.Materialize.graph
+    && a.Materialize.new_of_old = b.Materialize.new_of_old
+  in
+  List.iter
+    (fun (label, g, view, same) ->
+      let m = Materialize.materialize g view in
+      List.iter
+        (fun batch ->
+          let base_after, ops =
+            after_batch g
+              (Kaskade_gen.Mutate.random_ops ~inserts:((batch + 1) / 2) ~deletes:(batch / 2)
+                 ~seed:(1000 + batch) g)
+          in
+          let refreshed, strategy = Maintain.refresh base_after ~view:m ~ops in
+          let what = Printf.sprintf "%s batch=%d (%s)" label batch (Maintain.describe_strategy strategy) in
+          check_bool (what ^ ": incremental") true (Maintain.incremental strategy);
+          check_bool (what ^ ": refresh = rebuild") true
+            (same refreshed (Materialize.materialize base_after view)))
+        [ 1; 16; 64 ])
+    [ ( "connector k=2 (prov)",
+        prov,
+        View.Connector (View.K_hop { src_type = "Job"; dst_type = "Job"; k = 2 }),
+        fun a b -> canonical_view a = canonical_view b );
+      ( "ego count(name) k=2 (road)",
+        road,
+        View.Summarizer (View.Ego_aggregator { k = 2; agg_prop = "name"; agg = View.Agg_count }),
+        same_bytes ) ]
+
 let test_maintain_rejects_other_views () =
   let g, _, _ = small_lineage () in
   let view = Materialize.materialize g (View.Summarizer (View.Vertex_inclusion [ "Job" ])) in
@@ -572,6 +630,9 @@ let parallel_test_graphs () =
   [ ( "prov",
       Kaskade_gen.Provenance_gen.(generate { default with jobs = 120; files = 240; seed = 5 }),
       View.Connector (View.K_hop { src_type = "Job"; dst_type = "Job"; k = 2 }) );
+    ( "prov seed 42",
+      Kaskade_gen.Provenance_gen.(generate { default with jobs = 300; files = 600; seed = 42 }),
+      View.Connector (View.K_hop { src_type = "Job"; dst_type = "Job"; k = 2 }) );
     ( "dblp",
       Kaskade_gen.Dblp_gen.(generate { default with authors = 150; pubs = 250; venues = 12; seed = 6 }),
       View.Connector (View.K_hop { src_type = "Author"; dst_type = "Author"; k = 2 }) );
@@ -667,6 +728,8 @@ let () =
           Alcotest.test_case "delete kills unsupported pair" `Quick test_maintain_delete_unsupported_pair;
           Alcotest.test_case "delete keeps supported pair" `Quick test_maintain_delete_supported_pair;
           Alcotest.test_case "delete matches rebuild" `Quick test_maintain_apply_delete_matches_rebuild;
+          Alcotest.test_case "refresh = rebuild on seeded fixtures" `Quick
+            test_maintain_refresh_equals_rebuild_fixtures;
         ] );
       ( "definition",
         [
