@@ -615,65 +615,6 @@ let microbench () =
   Printf.printf "typed-expand rows=%d  bfs reach=%d\n" !rows_seg !reach_scratch
 
 (* ------------------------------------------------------------------ *)
-(* Sharded CSR: partitioned storage + shard-parallel morsel scans      *)
-
-(* Typed-scan throughput 1 -> 4 shards and per-shard memory balance.
-   Type_range is the deployment policy for typed scans (few cut
-   edges), so it is the one measured. *)
-let shard () =
-  header "Sharded CSR: partitioned storage + shard-parallel morsel scans";
-  let g =
-    Kaskade_gen.Provenance_gen.(
-      generate
-        { default with jobs = 4_000; files = 8_000; tasks_per_job = 6; machines = 100;
-          users = 400; seed = 42 })
-  in
-  let etid = Schema.edge_type_id (Graph.schema g) "WRITES_TO" in
-  let pool1 = Pool.create ~domains:1 () in
-  let pool4 = Pool.create ~domains:4 () in
-  let timed s =
-    let sh = Shard.of_graph ~policy:Shard.Type_range ~shards:s g in
-    let pool = if s = 1 then pool1 else pool4 in
-    (* The scan is microseconds; batch it so best-of-3 measures work,
-       not timer granularity. *)
-    let inner = 200 in
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t =
-        snd
-          (time_once (fun () ->
-               for _ = 1 to inner do
-                 ignore (Shard.typed_scan ~pool sh ~etype:etid)
-               done))
-      in
-      if t < !best then best := t
-    done;
-    (sh, !best /. float_of_int inner)
-  in
-  let rows =
-    List.map
-      (fun s ->
-        let sh, t = timed s in
-        let biggest =
-          List.fold_left Stdlib.max 0 (List.init s (fun i -> Shard.shard_memory_words sh i))
-        in
-        (s, sh, t, biggest))
-      [ 1; 2; 4 ]
-  in
-  let _, _, t1, _ = List.hd rows in
-  Table.print
-    ~aligns:[ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
-    ~header:[ "shards"; "scan (s)"; "speedup"; "max shard words"; "cut edges" ]
-    (List.map
-       (fun (s, sh, t, biggest) ->
-         [ string_of_int s; Printf.sprintf "%.6f" t;
-           Printf.sprintf "%.2fx" (if t > 0.0 then t1 /. t else 0.0);
-           Table.fmt_int biggest; Table.fmt_int (Shard.cut_edges sh) ])
-       rows);
-  let _, sh4, _, _ = List.nth rows 2 in
-  Format.printf "%a@." Shard.pp_summary sh4
-
-(* ------------------------------------------------------------------ *)
 (* Maintenance: incremental refresh vs full rebuild                    *)
 
 (* The live-update extension's headline claim: absorbing a small batch
@@ -943,18 +884,17 @@ let recovery () =
       row "never" Kaskade_store.Wal.Never ]
 
 (* ------------------------------------------------------------------ *)
-(* Smoke: the two timing gates                                         *)
+(* Smoke: the timing gate                                              *)
 
-(* A wider pool must never make connector materialization or the
-   sharded typed scan slower. Both gates run on the same seeded
-   fixture (prov, 300 jobs, 600 files, seed 42) and both always run;
-   each prints one PASS/FAIL line with its speedup. The morsel
+(* A wider pool must never make connector materialization slower. The
+   gate runs on a seeded fixture (prov, 300 jobs, 600 files, seed 42)
+   and prints one PASS/FAIL line with its speedup. The morsel
    scheduler caps workers at the core count, so on a one-core box the
-   4-domain pool takes the one-worker path and a gate reduces to a
+   4-domain pool takes the one-worker path and the gate reduces to a
    noise bound — hence best-of-N timings and retries. Returns whether
-   every gate passed. *)
+   the gate passed. *)
 let smoke () =
-  header "Smoke: scaling gates (connector materialization, sharded typed scan)";
+  header "Smoke: scaling gate (connector materialization)";
   let g = Kaskade_gen.Provenance_gen.(generate { default with jobs = 300; files = 600; seed = 42 }) in
   let pool1 = Pool.create ~domains:1 () in
   let pool4 = Pool.create ~domains:4 () in
@@ -965,8 +905,7 @@ let smoke () =
       (if pass then "PASS" else "FAIL") name speedup floor_x workers;
     pass
   in
-  (* Gate 1: connector materialization, best-of-3 per side, up to 5
-     attempts. *)
+  (* Best-of-3 per side, up to 5 attempts. *)
   let connector =
     let best pool =
       let best = ref infinity in
@@ -988,48 +927,10 @@ let smoke () =
     in
     verdict "connector materialization" (attempt 5) 1.0
   in
-  (* Gate 2: typed_scan over WRITES_TO at 1 vs 4 type-range shards,
-     400 scans per sample. Samples ALTERNATE between the two configs so
-     machine-wide drift hits both sides equally, and the bests
-     accumulate across up to 8 attempts of 5 samples each: a sustained
-     interference window costs another attempt, not a false verdict.
-     With workers to spare sharding must scale (>= 1.0x); with one
-     worker both configs run the same sequential loop and the gate is
-     an overhead bound (>= 0.95x), which still fails the regressions
-     this kernel has had (branchy cut-edge resolve: 0.88x;
-     dependent-load resolution chain: 0.73x). *)
-  let typed_scan =
-    let etid = Schema.edge_type_id (Graph.schema g) "WRITES_TO" in
-    let sh1 = Shard.of_graph ~policy:Shard.Type_range ~shards:1 g in
-    let sh4 = Shard.of_graph ~policy:Shard.Type_range ~shards:4 g in
-    let inner = 400 in
-    let batch sh pool =
-      snd
-        (time_once (fun () ->
-             for _ = 1 to inner do
-               ignore (Shard.typed_scan ~pool sh ~etype:etid)
-             done))
-    in
-    ignore (batch sh1 pool1);
-    ignore (batch sh4 pool4);
-    let floor_x = if workers > 1 then 1.0 else 0.95 in
-    let b1 = ref infinity and b4 = ref infinity in
-    let rec attempt tries =
-      for _ = 1 to 5 do
-        let s1 = batch sh1 pool1 in
-        let s4 = batch sh4 pool4 in
-        if s1 < !b1 then b1 := s1;
-        if s4 < !b4 then b4 := s4
-      done;
-      let speedup = if !b4 > 0.0 then !b1 /. !b4 else 1.0 in
-      if speedup >= floor_x || tries <= 1 then speedup else attempt (tries - 1)
-    in
-    verdict "sharded typed_scan" (attempt 8) floor_x
-  in
-  connector && typed_scan
+  connector
 
 let all_experiments =
   [ ("table3", table3); ("table4", table4); ("fig5", fig5); ("fig6", fig6); ("fig7", fig7);
     ("fig5k", fig5k); ("fig8", fig8); ("catalog", catalog); ("enum", enum); ("select", select);
-    ("e2e", e2e); ("microbench", microbench); ("shard", shard); ("maintenance", maintenance);
+    ("e2e", e2e); ("microbench", microbench); ("maintenance", maintenance);
     ("serve", serve_exp); ("recovery", recovery) ]

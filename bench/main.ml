@@ -4,14 +4,13 @@
      bench/main.exe                 run every experiment
      bench/main.exe fig7 table3     run selected experiments
      bench/main.exe --scale 0.5 ... shrink/grow datasets (positive float)
-     bench/main.exe smoke           the two scaling gates: connector
-                                    materialization and sharded
-                                    typed_scan at 4 vs 1 domains; one
-                                    PASS/FAIL line each, exit 1 if
-                                    either failed
+     bench/main.exe smoke           the scaling gate: connector
+                                    materialization at 4 vs 1
+                                    domains; one PASS/FAIL line,
+                                    exit 1 if it failed
 
    Experiment ids: table3 table4 fig5 fig6 fig7 fig5k fig8 catalog enum
-   select e2e microbench shard maintenance serve recovery (see DESIGN.md's
+   select e2e microbench maintenance serve recovery (see DESIGN.md's
    experiment index), plus smoke, which only runs when named. The
    experiments assert nothing; correctness checks live in the alcotest
    suites under test/. *)

@@ -73,28 +73,6 @@ let metrics_arg =
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
          ~doc:"Dump the process-wide metrics registry as JSON to FILE on exit (- for stdout).")
 
-let shards_arg =
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
-         ~doc:"Partition the graph into N shards (per-shard type-segmented CSRs with \
-               cut-edge stitching) and route execution through them. 1 (the default) \
-               keeps the single-CSR path; results are byte-identical at any shard count.")
-
-let shard_policy_conv =
-  let parse s =
-    let canonical = String.map (function '-' -> '_' | c -> c) s in
-    match Kaskade_graph.Shard.policy_of_name canonical with
-    | p -> Ok p
-    | exception Invalid_argument m -> Error (`Msg m)
-  in
-  Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Kaskade_graph.Shard.policy_name p))
-
-let shard_policy_arg =
-  Arg.(value & opt shard_policy_conv Kaskade_graph.Shard.Hash
-       & info [ "shard-policy" ] ~docv:"POLICY"
-           ~doc:"Vertex partition policy for $(b,--shards): $(b,hash) (uniform, \
-                 cut-edge heavy) or $(b,type-range) (contiguous type slices, \
-                 locality-friendly).")
-
 (* Durability knobs (update / refresh / serve / snapshot / recover). *)
 let fsync_conv =
   let parse s =
@@ -229,11 +207,10 @@ let run_cmd =
     Arg.(value & flag & info [ "profile" ]
            ~doc:"Also print the operator tree with actual rows and per-operator wall time.")
   in
-  let run verbose name edges seed graph_file query budget shards shard_policy no_views profile
-      metrics =
+  let run verbose name edges seed graph_file query budget no_views profile metrics =
     setup_logs verbose;
     let g = load_or_generate graph_file name edges seed in
-    let ks = Kaskade.make ~config:{ Kaskade.Config.default with shards; shard_policy } g in
+    let ks = Kaskade.make g in
     let q = parse_or_die query in
     if not no_views then begin
       let entries = select_and_materialize ks q budget in
@@ -290,8 +267,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Answer a query, transparently using materialized views.")
     Term.(const run $ verbose_arg $ dataset_arg $ edges_arg $ seed_arg $ graph_file_arg
-          $ query_arg $ budget_arg $ shards_arg $ shard_policy_arg $ no_views $ profile
-          $ metrics_arg)
+          $ query_arg $ budget_arg $ no_views $ profile $ metrics_arg)
 
 let explain_cmd =
   let json =
@@ -301,11 +277,10 @@ let explain_cmd =
     Arg.(value & flag & info [ "no-views" ]
            ~doc:"Skip view selection/materialization; explain against the raw graph only.")
   in
-  let run verbose name edges seed graph_file query budget shards shard_policy no_views json
-      metrics =
+  let run verbose name edges seed graph_file query budget no_views json metrics =
     setup_logs verbose;
     let g = load_or_generate graph_file name edges seed in
-    let ks = Kaskade.make ~config:{ Kaskade.Config.default with shards; shard_policy } g in
+    let ks = Kaskade.make g in
     let q = parse_or_die query in
     if not no_views then ignore (select_and_materialize ks q budget);
     let report = Kaskade.explain ks q in
@@ -320,8 +295,7 @@ let explain_cmd =
          "Show the rewrite decision (raw graph vs materialized view) and the operator tree \
           with estimated cardinalities, without executing the query.")
     Term.(const run $ verbose_arg $ dataset_arg $ edges_arg $ seed_arg $ graph_file_arg
-          $ query_arg $ budget_arg $ shards_arg $ shard_policy_arg $ no_views $ json
-          $ metrics_arg)
+          $ query_arg $ budget_arg $ no_views $ json $ metrics_arg)
 
 (* --op specs: "insert-vertex:TYPE", "insert-edge:SRC:DST:ETYPE",
    "delete-edge:SRC:DST:ETYPE" (vertex ids as printed by query
@@ -607,8 +581,8 @@ let log_cmd =
                  Also sets the threshold the $(b,kaskade.slow_queries) counter applies while \
                  the workload runs.")
   in
-  let run verbose name edges seed graph_file queries repeat budget shards shard_policy no_views
-      capacity out slow metrics =
+  let run verbose name edges seed graph_file queries repeat budget no_views capacity out
+      slow metrics =
     setup_logs verbose;
     let qs = require_queries "log" queries in
     (match capacity with Some c -> Kaskade_obs.Qlog.set_capacity c | None -> ());
@@ -616,7 +590,7 @@ let log_cmd =
     | Some ms -> Kaskade_obs.Qlog.set_slow_threshold (ms /. 1000.0)
     | None -> ());
     let g = load_or_generate graph_file name edges seed in
-    let ks = Kaskade.make ~config:{ Kaskade.Config.default with shards; shard_policy } g in
+    let ks = Kaskade.make g in
     if not no_views then begin
       let sel = Kaskade.select_views ks ~queries:qs ~budget_edges:budget in
       ignore (Kaskade.materialize_selected ks sel)
@@ -667,8 +641,8 @@ let log_cmd =
           structured query log: per query the routing outcome, rows, wall time and plan \
           fingerprint.")
     Term.(const run $ verbose_arg $ dataset_arg $ edges_arg $ seed_arg $ graph_file_arg
-          $ queries_arg $ repeat_arg $ budget_arg $ shards_arg $ shard_policy_arg $ no_views
-          $ capacity $ out $ slow $ metrics_arg)
+          $ queries_arg $ repeat_arg $ budget_arg $ no_views $ capacity $ out $ slow
+          $ metrics_arg)
 
 let trace_cmd =
   let chrome =
@@ -677,11 +651,11 @@ let trace_cmd =
                  open in chrome://tracing or Perfetto. Without it the span tree prints as \
                  text.")
   in
-  let run verbose name edges seed graph_file queries repeat budget shards shard_policy chrome =
+  let run verbose name edges seed graph_file queries repeat budget chrome =
     setup_logs verbose;
     let qs = require_queries "trace" queries in
     let g = load_or_generate graph_file name edges seed in
-    let ks = Kaskade.make ~config:{ Kaskade.Config.default with shards; shard_policy } g in
+    let ks = Kaskade.make g in
     let (), spans =
       Kaskade_obs.Trace.collect (fun () ->
           let sel = Kaskade.select_views ks ~queries:qs ~budget_edges:budget in
@@ -705,7 +679,7 @@ let trace_cmd =
          "Capture a span trace of selection, materialization and query execution — \
           including per-domain pool chunks — and export it for timeline viewers.")
     Term.(const run $ verbose_arg $ dataset_arg $ edges_arg $ seed_arg $ graph_file_arg
-          $ queries_arg $ repeat_arg $ budget_arg $ shards_arg $ shard_policy_arg $ chrome)
+          $ queries_arg $ repeat_arg $ budget_arg $ chrome)
 
 let advise_cmd =
   let log_file =

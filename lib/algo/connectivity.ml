@@ -8,14 +8,6 @@ let components g =
 
 let n_components g = Union_find.count (components g)
 
-(* Union-find is order-insensitive, so the sharded walk (each edge
-   once, shard-then-local order) lands in the same partition as the
-   global eid-order walk. *)
-let components_sharded sh =
-  let uf = Union_find.create (Shard.n_vertices sh) in
-  Shard.iter_edges sh (fun ~eid:_ ~src ~dst ~etype:_ -> Union_find.union uf src dst);
-  uf
-
 let sources g =
   let out = ref [] in
   for v = Graph.n_vertices g - 1 downto 0 do

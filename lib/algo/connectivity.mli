@@ -7,11 +7,6 @@ val components : Kaskade_graph.Graph.t -> Kaskade_util.Union_find.t
 
 val n_components : Kaskade_graph.Graph.t -> int
 
-val components_sharded : Kaskade_graph.Shard.t -> Kaskade_util.Union_find.t
-(** Same partition as {!components} on the graph the shards were built
-    from: union-find is order-insensitive, so walking each edge once
-    in shard-then-local order merges the same component sets. *)
-
 val sources : Kaskade_graph.Graph.t -> int list
 (** Vertices with no incoming edges. *)
 

@@ -4,11 +4,9 @@ module Int_vec = Kaskade_util.Int_vec
 
 type dir = Out | In | Both
 
-(* Neighbour iterators: [f u] once per adjacent edge of [v] in
-   direction [dir]. The single CSR and the sharded layer (whose reads
-   route to the owner shard and resolve cut edges through the
-   exchange) plug into the same BFS below. *)
-let graph_neighbors g dir v f =
+(* Neighbour iterator: [f u] once per adjacent edge of [v] in
+   direction [dir]. *)
+let neighbors g dir v f =
   (match dir with
   | Out | Both -> Graph.iter_out g v (fun ~dst ~etype:_ ~eid:_ -> f dst)
   | In -> ());
@@ -16,18 +14,11 @@ let graph_neighbors g dir v f =
   | In | Both -> Graph.iter_in g v (fun ~src ~etype:_ ~eid:_ -> f src)
   | Out -> ()
 
-let shard_neighbors sh dir v f =
-  (match dir with
-  | Out | Both -> Shard.iter_out sh v (fun ~dst ~etype:_ ~eid:_ -> f dst)
-  | In -> ());
-  match dir with
-  | In | Both -> Shard.iter_in sh v (fun ~src ~etype:_ ~eid:_ -> f src)
-  | Out -> ()
-
 (* [dist] is the result, so it is freshly allocated; the frontier
    queues are scratch vectors reused across calls. *)
-let bfs ~n ~neighbors ~src ~max_hops =
-  let dist = Array.make n (-1) in
+let bfs_levels g ~src ?(dir = Out) ?(max_hops = max_int) () =
+  let neighbors = neighbors g dir in
+  let dist = Array.make (Graph.n_vertices g) (-1) in
   dist.(src) <- 0;
   Scratch.with_vec @@ fun vec_a ->
   Scratch.with_vec @@ fun vec_b ->
@@ -52,23 +43,13 @@ let bfs ~n ~neighbors ~src ~max_hops =
   done;
   dist
 
-let bfs_levels g ~src ?(dir = Out) ?(max_hops = max_int) () =
-  bfs ~n:(Graph.n_vertices g) ~neighbors:(graph_neighbors g dir) ~src ~max_hops
-
-(* Collected from the dist array in ascending vid order, so the
-   sharded walk equals the unsharded one whatever order shards are
-   visited in. *)
-let reached dist =
+let reachable_within g ~src ~max_hops ?(dir = Out) () =
+  let dist = bfs_levels g ~src ~dir ~max_hops () in
   let out = ref [] in
   for v = Array.length dist - 1 downto 0 do
     if dist.(v) > 0 then out := v :: !out
   done;
   !out
-
-let reachable_within g ~src ~max_hops ?(dir = Out) () = reached (bfs_levels g ~src ~dir ~max_hops ())
-
-let reachable_within_sharded sh ~src ~max_hops ?(dir = Out) () =
-  reached (bfs ~n:(Shard.n_vertices sh) ~neighbors:(shard_neighbors sh dir) ~src ~max_hops)
 
 let descendants g ~src ~max_hops = reachable_within g ~src ~max_hops ~dir:Out ()
 let ancestors g ~src ~max_hops = reachable_within g ~src ~max_hops ~dir:In ()

@@ -13,13 +13,6 @@ val reachable_within :
 (** Distinct vertices at distance 1..[max_hops] from [src] (excludes
     [src] itself unless reachable via a cycle). Order: ascending id. *)
 
-val reachable_within_sharded :
-  Kaskade_graph.Shard.t -> src:int -> max_hops:int -> ?dir:dir -> unit -> int list
-(** {!reachable_within} reading through a sharded CSR — the same BFS
-    with each frontier vertex's adjacency read from its owner shard
-    (cut edges resolve through the exchange), so the list equals
-    {!reachable_within} on the graph the shards were built from. *)
-
 val descendants : Kaskade_graph.Graph.t -> src:int -> max_hops:int -> int list
 (** Forward data lineage (paper Q3): [reachable_within] over out-edges. *)
 

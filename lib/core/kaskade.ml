@@ -98,8 +98,6 @@ module Config = struct
     alpha : float;
     mode : Executor.mode;
     pool : Pool.t option;
-    shards : int;
-    shard_policy : Shard.policy;
     auto_refresh : bool;
     compact_threshold : float;
     breaker_threshold : int;
@@ -115,8 +113,6 @@ module Config = struct
       alpha = 95.0;
       mode = Executor.Distinct_endpoints;
       pool = None;
-      shards = 1;
-      shard_policy = Shard.Hash;
       auto_refresh = true;
       compact_threshold = 0.25;
       breaker_threshold = 3;
@@ -148,14 +144,11 @@ and t = {
   alpha : float;
   mode : Executor.mode;
   pool : Pool.t option;
-  shards : int;  (* <= 1 = single-CSR storage, the default *)
-  shard_policy : Shard.policy;
   auto_refresh : bool;
   compact_threshold : float;
   ctxs : (string, Executor.ctx) Hashtbl.t;  (* "" = base graph *)
   view_stats : (string, Gstats.t) Hashtbl.t;
   mutable base_stats : (int * Gstats.t) option;  (* keyed by overlay version *)
-  mutable shard_stats : (int * Gstats.t array) option;  (* keyed by overlay version *)
   mutable last_selection : Selection.t option;
   breakers : (string, Breaker.t) Hashtbl.t;  (* per-view, keyed by view name *)
   breaker_threshold : int;
@@ -175,14 +168,11 @@ let make ?(config = Config.default) graph =
     alpha = config.Config.alpha;
     mode = config.Config.mode;
     pool = config.Config.pool;
-    shards = Stdlib.max 1 config.Config.shards;
-    shard_policy = config.Config.shard_policy;
     auto_refresh = config.Config.auto_refresh;
     compact_threshold = config.Config.compact_threshold;
     ctxs = Hashtbl.create 8;
     view_stats = Hashtbl.create 8;
     base_stats = None;
-    shard_stats = None;
     last_selection = None;
     breakers = Hashtbl.create 8;
     breaker_threshold = config.Config.breaker_threshold;
@@ -295,8 +285,7 @@ let base_ctx t =
   | Some ctx -> ctx
   | None ->
     let ctx =
-      Executor.create_live ~mode:t.mode ~planner:true ?pool:t.pool
-        ~shard_policy:t.shard_policy ~shards:t.shards t.overlay
+      Executor.create_live ~mode:t.mode ~planner:true ?pool:t.pool t.overlay
     in
     Hashtbl.add t.ctxs "" ctx;
     ctx
@@ -306,29 +295,10 @@ let ctx_for t name g =
   | Some ctx -> ctx
   | None ->
     let ctx =
-      Executor.create ~mode:t.mode ~planner:true ?pool:t.pool ~shard_policy:t.shard_policy
-        ~shards:t.shards g
+      Executor.create ~mode:t.mode ~planner:true ?pool:t.pool g
     in
     Hashtbl.add t.ctxs name ctx;
     ctx
-
-(* The base graph's sharded layer, when this facade was created with
-   [shards > 1]: owned by the base executor context, so materialize,
-   refresh and selection all read the same partitioning (re-derived by
-   the context after every overlay version change). *)
-let base_shards t = if t.shards <= 1 then None else Executor.shards (base_ctx t)
-
-let shard_stats t =
-  match base_shards t with
-  | None -> None
-  | Some sh ->
-    let v = Graph.Overlay.version t.overlay in
-    (match t.shard_stats with
-    | Some (v', ss) when v' = v -> Some ss
-    | _ ->
-      let ss = Gstats.per_shard ?pool:t.pool sh in
-      t.shard_stats <- Some (v, ss);
-      Some ss)
 
 let view_ctx t name =
   match Catalog.find_by_name t.catalog name with
@@ -380,8 +350,8 @@ let enumerate_views ?budget t q = Enumerate.enumerate ?budget t.schema q
 
 let select_views ?solver ?query_weights t ~queries ~budget_edges =
   let sel =
-    Selection.select ~alpha:t.alpha ?solver ?query_weights ?shard_stats:(shard_stats t)
-      (stats t) t.schema ~queries ~budget_edges
+    Selection.select ~alpha:t.alpha ?solver ?query_weights (stats t) t.schema ~queries
+      ~budget_edges
   in
   Log.info (fun k ->
       k "selection over %d queries (budget %d edges): chose [%s], weight %d"
@@ -395,7 +365,7 @@ let materialize t view =
   match Catalog.find t.catalog view with
   | Some entry when entry.Catalog.freshness = Catalog.Fresh -> entry
   | _ ->
-    let m = Materialize.materialize ?pool:t.pool ?shards:(base_shards t) (graph t) view in
+    let m = Materialize.materialize ?pool:t.pool (graph t) view in
     Log.info (fun k ->
         k "materialized %s: %d vertices, %d edges (cost %.0f)" (View.name view)
           (Graph.n_vertices m.Materialize.graph)
@@ -446,8 +416,7 @@ let refresh_entry ?budget ~swallow t (entry : Catalog.entry) =
       let t0 = Trace.now_s () in
       let base_after = graph t in
       match
-        Maintain.refresh ?pool:t.pool ?budget ?shards:(base_shards t) base_after
-          ~view:entry.Catalog.materialized ~ops
+        Maintain.refresh ?pool:t.pool ?budget base_after ~view:entry.Catalog.materialized ~ops
       with
       | m, strategy ->
         Catalog.finish_refresh t.catalog entry m;
@@ -1109,11 +1078,9 @@ module Advisor = struct
     let query_weights = List.map (fun (_, _, n) -> float_of_int n) parsed in
     let sel =
       if queries = [] then
-        Selection.select ~alpha:t.alpha ?shard_stats:(shard_stats t) (stats t) t.schema
-          ~queries:[] ~budget_edges
+        Selection.select ~alpha:t.alpha (stats t) t.schema ~queries:[] ~budget_edges
       else
-        Selection.select ~alpha:t.alpha ~query_weights ?shard_stats:(shard_stats t) (stats t)
-          t.schema ~queries ~budget_edges
+        Selection.select ~alpha:t.alpha ~query_weights (stats t) t.schema ~queries ~budget_edges
     in
     (* Verdicts: the selection says which views the observed workload
        wants; the catalog says which are materialized. *)

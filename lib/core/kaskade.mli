@@ -27,7 +27,7 @@
     syntax:
 
     {[
-      let ks = Kaskade.make ~config:{ Kaskade.Config.default with shards = 4 } graph
+      let ks = Kaskade.make ~config:{ Kaskade.Config.default with alpha = 90.0 } graph
     ]} *)
 
 (** Re-exported components (see each module's own documentation). *)
@@ -47,7 +47,7 @@ type run_target =
   | Via_view of string  (** Answered over the named materialized view. *)
 
 (** Construction knobs, collapsed into one record so call sites name
-    only what they change ([{ Config.default with shards = 4 }]) and
+    only what they change ([{ Config.default with alpha = 90.0 }]) and
     new knobs never ripple through every caller's signature. *)
 module Config : sig
   type t = {
@@ -59,16 +59,6 @@ module Config : sig
         (** The one domain pool threaded through materialization,
             graph statistics, and view refresh (default [None]:
             [Kaskade_util.Pool.default] inside each component). *)
-    shards : int;
-        (** > 1 stores the base graph — and every materialized view —
-            as a {!Kaskade_graph.Shard} partitioning: executor
-            adjacency reads, connector/ego materialization traversals
-            and view refreshes route through the owning shard (cut
-            edges resolve through the exchange), and the selection
-            knapsack prices candidates as the sum of per-shard size
-            estimates. Results are byte-identical at any shard count;
-            [<= 1] (default) is exactly the single-CSR code path. *)
-    shard_policy : Kaskade_graph.Shard.policy;  (** Partitioning policy (default [Hash]). *)
     auto_refresh : bool;
         (** [true] (default): query entry points repair stale views
             before planning. [false]: they fall back to the base graph

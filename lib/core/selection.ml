@@ -65,7 +65,7 @@ let override_for stats schema ~alpha (view : View.t) =
     let _ = alpha in
     fun _ -> None
 
-let select ?(alpha = 95.0) ?(solver = Branch_and_bound) ?query_weights ?shard_stats stats
+let select ?(alpha = 95.0) ?(solver = Branch_and_bound) ?query_weights stats
     schema ~queries ~budget_edges =
   Trace.with_span "selection"
     ~attrs:
@@ -95,25 +95,10 @@ let select ?(alpha = 95.0) ?(solver = Branch_and_bound) ?query_weights ?shard_st
     queries;
   let candidates = List.rev !candidates in
   (* Per-candidate improvement over the workload. *)
-  (* On a sharded store, a view's footprint is priced shard by shard —
-     each shard's local statistics feed the same estimator and the
-     knapsack weighs the sum. Percentile-based estimates are not
-     additive across partitions, so this sizes skew (a shard holding
-     the hub vertices prices higher than the global distribution
-     suggests) at the cost of an upward bias on balanced partitions. *)
-  let view_size =
-    match shard_stats with
-    | Some per_shard when Array.length per_shard > 1 ->
-      fun view ->
-        Array.fold_left
-          (fun acc s -> acc +. Estimator.view_size s schema ~alpha view)
-          0.0 per_shard
-    | _ -> fun view -> Estimator.view_size stats schema ~alpha view
-  in
   let reports =
     List.map
       (fun view ->
-        let est_size = view_size view in
+        let est_size = Estimator.view_size stats schema ~alpha view in
         let creation_cost = Stdlib.max (Estimator.creation_cost stats schema ~alpha view) 1.0 in
         let deg_override = override_for stats schema ~alpha view in
         let improvement = ref 0.0 in

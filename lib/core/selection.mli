@@ -28,7 +28,6 @@ val select :
   ?alpha:float ->
   ?solver:solver ->
   ?query_weights:float list ->
-  ?shard_stats:Kaskade_graph.Gstats.t array ->
   Kaskade_graph.Gstats.t ->
   Kaskade_graph.Schema.t ->
   queries:Kaskade_query.Ast.t list ->
@@ -37,8 +36,4 @@ val select :
 (** [alpha] (default 95, the paper's operating point) parameterizes
     the size estimator. [query_weights] scales each query's
     improvement contribution (the paper's frequency/importance
-    extension); defaults to all 1. [shard_stats] (per-shard local
-    statistics, [Gstats.per_shard]) switches the knapsack weight of
-    each candidate to the {e sum} of per-shard size estimates —
-    skew-aware sizing for a sharded store; with zero or one entries it
-    is ignored. *)
+    extension); defaults to all 1. *)

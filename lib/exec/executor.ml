@@ -36,13 +36,8 @@ type ctx = {
   mode : mode;
   planner : bool;
   pool : Kaskade_util.Pool.t option;
-  (* [(policy, count)] with count > 1 routes adjacency reads through a
-     sharded CSR built from the current snapshot; [None] (the S=1
-     gate) is exactly the single-CSR code path. *)
-  shard_spec : (Shard.policy * int) option;
   mutable cache_version : int;
   mutable g : Graph.t;
-  mutable sharded : Shard.t option Lazy.t;
   mutable stats : Gstats.t Lazy.t;
   mutable indexes : Vindex.t Lazy.t;
   mutable communities : int array option;
@@ -50,36 +45,25 @@ type ctx = {
 
 type result = Table of Row.table | Affected of int
 
-let shard_of_spec spec g =
-  lazy (Option.map (fun (policy, s) -> Shard.of_graph ~policy ~shards:s g) spec)
-
-let make ~source ~mode ~planner ~pool ~shard_spec ~version g =
-  let shard_spec =
-    match shard_spec with Some (_, s) when s > 1 -> shard_spec | _ -> None
-  in
+let make ~source ~mode ~planner ~pool ~version g =
   {
     source;
     mode;
     planner;
     pool;
-    shard_spec;
     cache_version = version;
     g;
-    sharded = shard_of_spec shard_spec g;
     stats = lazy (Gstats.compute ?pool g);
     indexes = lazy (Vindex.create g);
     communities = None;
   }
 
-let create ?(mode = Distinct_endpoints) ?(planner = false) ?pool
-    ?(shard_policy = Shard.Hash) ?(shards = 1) g =
-  make ~source:Frozen ~mode ~planner ~pool ~shard_spec:(Some (shard_policy, shards)) ~version:0
-    g
+let create ?(mode = Distinct_endpoints) ?(planner = false) ?pool g =
+  make ~source:Frozen ~mode ~planner ~pool ~version:0 g
 
-let create_live ?(mode = Distinct_endpoints) ?(planner = false) ?pool
-    ?(shard_policy = Shard.Hash) ?(shards = 1) o =
-  make ~source:(Live o) ~mode ~planner ~pool ~shard_spec:(Some (shard_policy, shards))
-    ~version:(Graph.Overlay.version o) (Graph.Overlay.graph o)
+let create_live ?(mode = Distinct_endpoints) ?(planner = false) ?pool o =
+  make ~source:(Live o) ~mode ~planner ~pool ~version:(Graph.Overlay.version o)
+    (Graph.Overlay.graph o)
 
 (* Called at every public entry point. Snapshotting is cheap when the
    overlay is clean (its cached graph is reused); statistics and
@@ -96,7 +80,6 @@ let sync ctx =
       let pool = ctx.pool in
       ctx.cache_version <- v;
       ctx.g <- g;
-      ctx.sharded <- shard_of_spec ctx.shard_spec g;
       ctx.stats <- lazy (Gstats.compute ?pool g);
       ctx.indexes <- lazy (Vindex.create g);
       ctx.communities <- None
@@ -105,10 +88,6 @@ let sync ctx =
 let graph ctx =
   sync ctx;
   ctx.g
-
-let shards ctx =
-  sync ctx;
-  Lazy.force ctx.sharded
 
 let mode ctx = ctx.mode
 
@@ -208,47 +187,6 @@ let label_ok g (n : Ast.node_pat) v =
   | None -> true
   | Some l -> String.equal (Graph.vertex_type_name g v) l
 
-(* Adjacency source: the four iterators every expansion is built from,
-   resolved once per MATCH block to either the single CSR or the
-   sharded layer (whose iterators route each read to the owning shard
-   and resolve cut edges through the exchange). Both sides satisfy the
-   same per-(vertex, etype) eid-ascending contract, so the pattern
-   pipeline — and therefore every result byte — is independent of
-   which one is plugged in. *)
-type adj = {
-  a_n_vertices : int;
-  a_n_edges : int;
-  a_iter_out : int -> (dst:int -> etype:int -> eid:int -> unit) -> unit;
-  a_iter_in : int -> (src:int -> etype:int -> eid:int -> unit) -> unit;
-  a_iter_out_etype : int -> etype:int -> (dst:int -> eid:int -> unit) -> unit;
-  a_iter_in_etype : int -> etype:int -> (src:int -> eid:int -> unit) -> unit;
-}
-
-let adj_of_graph g =
-  {
-    a_n_vertices = Graph.n_vertices g;
-    a_n_edges = Graph.n_edges g;
-    a_iter_out = Graph.iter_out g;
-    a_iter_in = Graph.iter_in g;
-    a_iter_out_etype = Graph.iter_out_etype g;
-    a_iter_in_etype = Graph.iter_in_etype g;
-  }
-
-let adj_of_shard sh =
-  {
-    a_n_vertices = Shard.n_vertices sh;
-    a_n_edges = Shard.n_edges sh;
-    a_iter_out = Shard.iter_out sh;
-    a_iter_in = Shard.iter_in sh;
-    a_iter_out_etype = Shard.iter_out_etype sh;
-    a_iter_in_etype = Shard.iter_in_etype sh;
-  }
-
-let adj_of_ctx ctx =
-  match Lazy.force ctx.sharded with
-  | Some sh -> adj_of_shard sh
-  | None -> adj_of_graph ctx.g
-
 (* Distinct-endpoint var-length expansion: emit (endpoint, hops) once
    per endpoint whose walk length can fall in [lo, hi].
 
@@ -263,16 +201,16 @@ let adj_of_ctx ctx =
    BFS loops: the typed cases walk their segmented-CSR slice directly
    (no per-edge [option] match, no filter closure allocation in the
    inner loop). *)
-let neighbor_iter adj ~etype ~(dir : Ast.edge_dir) =
+let neighbor_iter g ~etype ~(dir : Ast.edge_dir) =
   match (dir, etype) with
   | Ast.Fwd, Some et ->
-    fun u f -> adj.a_iter_out_etype u ~etype:et (fun ~dst ~eid:_ -> f dst)
+    fun u f -> Graph.iter_out_etype g u ~etype:et (fun ~dst ~eid:_ -> f dst)
   | Ast.Fwd, None ->
-    fun u f -> adj.a_iter_out u (fun ~dst ~etype:_ ~eid:_ -> f dst)
+    fun u f -> Graph.iter_out g u (fun ~dst ~etype:_ ~eid:_ -> f dst)
   | Ast.Bwd, Some et ->
-    fun u f -> adj.a_iter_in_etype u ~etype:et (fun ~src:s ~eid:_ -> f s)
+    fun u f -> Graph.iter_in_etype g u ~etype:et (fun ~src:s ~eid:_ -> f s)
   | Ast.Bwd, None ->
-    fun u f -> adj.a_iter_in u (fun ~src:s ~etype:_ ~eid:_ -> f s)
+    fun u f -> Graph.iter_in g u (fun ~src:s ~etype:_ ~eid:_ -> f s)
 
 (* Run a traversal that counts its frontier-vertex expansions in
    [steps], then add the total to [m_expand_steps] once — also when a
@@ -287,8 +225,8 @@ let counting_steps f =
     Metrics.incr ~by:!steps m_expand_steps;
     raise e
 
-let var_length_endpoints ?budget adj ~src ~lo ~hi ~etype ~(dir : Ast.edge_dir) emit =
-  let neighbors = neighbor_iter adj ~etype ~dir in
+let var_length_endpoints ?budget g ~src ~lo ~hi ~etype ~(dir : Ast.edge_dir) emit =
+  let neighbors = neighbor_iter g ~etype ~dir in
   counting_steps @@ fun steps ->
   (* One budget checkpoint per frontier-vertex expansion — the unit
      counted in [steps]. *)
@@ -297,7 +235,7 @@ let var_length_endpoints ?budget adj ~src ~lo ~hi ~etype ~(dir : Ast.edge_dir) e
     Budget.step budget Budget.Execute;
     neighbors u f
   in
-  let n = adj.a_n_vertices in
+  let n = Graph.n_vertices g in
   if lo <= 1 then
     (* Visited set and frontier queues are epoch-stamped scratch
        buffers borrowed from the domain-local pool: no per-query
@@ -381,20 +319,20 @@ let var_length_endpoints ?budget adj ~src ~lo ~hi ~etype ~(dir : Ast.edge_dir) e
 
 (* All-trails var-length expansion: DFS over distinct-edge trails,
    emitting each endpoint once per trail reaching it. Exponential. *)
-let var_length_trails ?budget adj ~src ~lo ~hi ~etype ~(dir : Ast.edge_dir) emit =
+let var_length_trails ?budget g ~src ~lo ~hi ~etype ~(dir : Ast.edge_dir) emit =
   (* Edge iterator resolved once, typed cases slice-walk; the
      distinct-edge set is an epoch-stamped scratch buffer over edge
      ids (add on descent, remove on backtrack). *)
   let iter_step =
     match (dir, etype) with
     | Ast.Fwd, Some et ->
-      fun v k -> adj.a_iter_out_etype v ~etype:et (fun ~dst ~eid -> k eid dst)
-    | Ast.Fwd, None -> fun v k -> adj.a_iter_out v (fun ~dst ~etype:_ ~eid -> k eid dst)
+      fun v k -> Graph.iter_out_etype g v ~etype:et (fun ~dst ~eid -> k eid dst)
+    | Ast.Fwd, None -> fun v k -> Graph.iter_out g v (fun ~dst ~etype:_ ~eid -> k eid dst)
     | Ast.Bwd, Some et ->
-      fun v k -> adj.a_iter_in_etype v ~etype:et (fun ~src:s ~eid -> k eid s)
-    | Ast.Bwd, None -> fun v k -> adj.a_iter_in v (fun ~src:s ~etype:_ ~eid -> k eid s)
+      fun v k -> Graph.iter_in_etype g v ~etype:et (fun ~src:s ~eid -> k eid s)
+    | Ast.Bwd, None -> fun v k -> Graph.iter_in g v (fun ~src:s ~etype:_ ~eid -> k eid s)
   in
-  Scratch.with_set ~n:adj.a_n_edges @@ fun used ->
+  Scratch.with_set ~n:(Graph.n_edges g) @@ fun used ->
   counting_steps @@ fun steps ->
   let rec dfs v depth =
     incr steps;
@@ -422,7 +360,6 @@ let equality_probe = Cost.equality_probe
    that same tree. *)
 let eval_match ?prof ?budget ctx (mb : Ast.match_block) : Row.table =
   let g = ctx.g in
-  let adj = adj_of_ctx ctx in
   let schema = Graph.schema g in
   let slots = collect_slots mb.patterns in
   let env_of_row (row : Row.rval array) name =
@@ -472,16 +409,16 @@ let eval_match ?prof ?budget ctx (mb : Ast.match_block) : Row.table =
             let etype = Option.map (Schema.edge_type_id schema) e.e_label in
             match (e.e_dir, etype) with
             | Ast.Fwd, Some et ->
-              adj.a_iter_out_etype cur ~etype:et (fun ~dst ~eid ->
+              Graph.iter_out_etype g cur ~etype:et (fun ~dst ~eid ->
                   accept_vertex ~edge_rval:(Row.E eid) dst)
             | Ast.Fwd, None ->
-              adj.a_iter_out cur (fun ~dst ~etype:_ ~eid ->
+              Graph.iter_out g cur (fun ~dst ~etype:_ ~eid ->
                   accept_vertex ~edge_rval:(Row.E eid) dst)
             | Ast.Bwd, Some et ->
-              adj.a_iter_in_etype cur ~etype:et (fun ~src ~eid ->
+              Graph.iter_in_etype g cur ~etype:et (fun ~src ~eid ->
                   accept_vertex ~edge_rval:(Row.E eid) src)
             | Ast.Bwd, None ->
-              adj.a_iter_in cur (fun ~src ~etype:_ ~eid ->
+              Graph.iter_in g cur (fun ~src ~etype:_ ~eid ->
                   accept_vertex ~edge_rval:(Row.E eid) src)
           end
           | Ast.Var_length (lo, hi) ->
@@ -491,10 +428,10 @@ let eval_match ?prof ?budget ctx (mb : Ast.match_block) : Row.table =
             in
             (match ctx.mode with
             | Distinct_endpoints ->
-              var_length_endpoints ?budget adj ~src:cur ~lo ~hi ~etype ~dir:e.e_dir
+              var_length_endpoints ?budget g ~src:cur ~lo ~hi ~etype ~dir:e.e_dir
                 emit_endpoint
             | All_trails ->
-              var_length_trails ?budget adj ~src:cur ~lo ~hi ~etype ~dir:e.e_dir emit_endpoint))
+              var_length_trails ?budget g ~src:cur ~lo ~hi ~etype ~dir:e.e_dir emit_endpoint))
       and bind_edge row (e : Ast.edge_pat) edge_rval k =
         match (e.e_var, edge_rval) with
         | Some name, Some rv ->

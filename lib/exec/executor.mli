@@ -27,8 +27,6 @@ val create :
   ?mode:mode ->
   ?planner:bool ->
   ?pool:Kaskade_util.Pool.t ->
-  ?shard_policy:Kaskade_graph.Shard.policy ->
-  ?shards:int ->
   Kaskade_graph.Graph.t ->
   ctx
 (** [planner] (default false) runs [Planner.optimize] on every query
@@ -36,24 +34,12 @@ val create :
     node. [pool] is forwarded to the lazily computed graph statistics
     ([Gstats.compute]); the facade plumbs one pool through
     materialization, statistics and refresh so parallelism is decided
-    in one place.
-
-    [shards] > 1 (default 1) routes every adjacency read — typed
-    expands, untyped expands, variable-length BFS/DFS — through a
-    {!Kaskade_graph.Shard} partitioning of the graph under
-    [shard_policy] (default [Hash]), built lazily on first MATCH.
-    Scan candidate enumeration stays in global vid order, so results,
-    row ordering, PROFILE actuals and budget accounting are
-    byte-identical to the single-CSR path at any shard count.
-    [shards <= 1] is {e exactly} today's code path — no sharded
-    structure is ever built. *)
+    in one place. *)
 
 val create_live :
   ?mode:mode ->
   ?planner:bool ->
   ?pool:Kaskade_util.Pool.t ->
-  ?shard_policy:Kaskade_graph.Shard.policy ->
-  ?shards:int ->
   Kaskade_graph.Graph.Overlay.t ->
   ctx
 (** A context that reads {e through} the overlay: every entry point
@@ -66,12 +52,6 @@ val create_live :
 val graph : ctx -> Kaskade_graph.Graph.t
 (** The graph the next query will run against (the current overlay
     snapshot for live contexts). *)
-
-val shards : ctx -> Kaskade_graph.Shard.t option
-(** The sharded layer queries read through, when this context was
-    created with [shards > 1] — [None] on the single-CSR path. Live
-    contexts re-shard from the fresh snapshot after every overlay
-    version change (lazily, on first use). *)
 
 val mode : ctx -> mode
 

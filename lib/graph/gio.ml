@@ -12,13 +12,22 @@ let encode_str s =
     s;
   Buffer.contents buf
 
-let decode_str s =
+let hex_digit = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
+let decode_str line_no s =
   let buf = Buffer.create (String.length s) in
   let n = String.length s in
   let i = ref 0 in
   while !i < n do
     if s.[!i] = '%' && !i + 2 < n then begin
-      Buffer.add_char buf (Char.chr (int_of_string ("0x" ^ String.sub s (!i + 1) 2)));
+      let hi = hex_digit s.[!i + 1] and lo = hex_digit s.[!i + 2] in
+      if hi < 0 || lo < 0 then
+        raise (Format_error ("bad escape " ^ String.sub s !i 3, line_no));
+      Buffer.add_char buf (Char.chr ((hi * 16) + lo));
       i := !i + 3
     end
     else begin
@@ -35,15 +44,19 @@ let encode_value = function
   | Value.Float f -> "f:" ^ Printf.sprintf "%h" f
   | Value.Str s -> "s:" ^ encode_str s
 
+(* [parse s] or a [Format_error] naming [what] at [line_no]. *)
+let parsed line_no what parse s =
+  match parse s with Some v -> v | None -> raise (Format_error ("bad " ^ what ^ " " ^ s, line_no))
+
 let decode_value line_no s =
   if String.length s < 2 || s.[1] <> ':' then raise (Format_error ("bad value " ^ s, line_no));
   let payload = String.sub s 2 (String.length s - 2) in
   match s.[0] with
   | 'n' -> Value.Null
-  | 'b' -> Value.Bool (bool_of_string payload)
-  | 'i' -> Value.Int (int_of_string payload)
-  | 'f' -> Value.Float (float_of_string payload)
-  | 's' -> Value.Str (decode_str payload)
+  | 'b' -> Value.Bool (parsed line_no "bool" bool_of_string_opt payload)
+  | 'i' -> Value.Int (parsed line_no "int" int_of_string_opt payload)
+  | 'f' -> Value.Float (parsed line_no "float" float_of_string_opt payload)
+  | 's' -> Value.Str (decode_str line_no payload)
   | c -> raise (Format_error (Printf.sprintf "unknown value tag %c" c, line_no))
 
 let encode_props props =
@@ -54,7 +67,7 @@ let decode_props line_no fields =
     (fun field ->
       match String.index_opt field '=' with
       | Some i ->
-        ( decode_str (String.sub field 0 i),
+        ( decode_str line_no (String.sub field 0 i),
           decode_value line_no (String.sub field (i + 1) (String.length field - i - 1)) )
       | None -> raise (Format_error ("bad property " ^ field, line_no)))
     fields
@@ -85,41 +98,68 @@ let to_string g =
            (if props = [] then "" else " " ^ encode_props props)));
   Buffer.contents buf
 
+(* Every malformed input surfaces as [Format_error] at its line: the
+   builder's [Invalid_argument]s (unknown type, out-of-range or
+   ill-typed endpoint) are re-raised with the line that caused them. *)
 let of_string text =
   let lines = String.split_on_char '\n' text in
   let vtypes = ref [] and etypes = ref [] in
   let vertex_lines = ref [] and edge_lines = ref [] in
+  let int line_no s = parsed line_no "integer" int_of_string_opt s in
   List.iteri
     (fun idx line ->
       let line_no = idx + 1 in
       let line = String.trim line in
-      if line = "" || line.[0] = '#' then ()
-      else if line_no = 1 then begin
+      if line_no = 1 then begin
         if line <> magic then raise (Format_error ("bad magic: " ^ line, line_no))
       end
+      else if line = "" || line.[0] = '#' then ()
       else begin
         match String.split_on_char ' ' line with
-        | "vtype" :: name :: [] -> vtypes := decode_str name :: !vtypes
+        | "vtype" :: name :: [] ->
+          let name = decode_str line_no name in
+          if List.mem name !vtypes then
+            raise (Format_error ("duplicate vertex type " ^ name, line_no));
+          vtypes := name :: !vtypes
         | "etype" :: src :: name :: dst :: [] ->
-          etypes := (decode_str src, decode_str name, decode_str dst) :: !etypes
-        | "v" :: id :: ty :: props -> vertex_lines := (line_no, int_of_string id, decode_str ty, props) :: !vertex_lines
+          etypes :=
+            (line_no, decode_str line_no src, decode_str line_no name, decode_str line_no dst)
+            :: !etypes
+        | "v" :: id :: ty :: props ->
+          vertex_lines := (line_no, int line_no id, decode_str line_no ty, props) :: !vertex_lines
         | "e" :: src :: dst :: ty :: props ->
-          edge_lines := (line_no, int_of_string src, int_of_string dst, decode_str ty, props) :: !edge_lines
+          edge_lines :=
+            (line_no, int line_no src, int line_no dst, decode_str line_no ty, props) :: !edge_lines
         | _ -> raise (Format_error ("unrecognized line: " ^ line, line_no))
       end)
     lines;
-  let schema = Schema.define ~vertices:(List.rev !vtypes) ~edges:(List.rev !etypes) in
+  let edges =
+    List.map
+      (fun (line_no, src, name, dst) ->
+        List.iter
+          (fun ty ->
+            if not (List.mem ty !vtypes) then
+              raise (Format_error ("etype " ^ name ^ " names unknown vertex type " ^ ty, line_no)))
+          [ src; dst ];
+        if List.exists (fun (l, _, n, _) -> n = name && l < line_no) !etypes then
+          raise (Format_error ("duplicate edge type " ^ name, line_no));
+        (src, name, dst))
+      (List.rev !etypes)
+  in
+  let schema = Schema.define ~vertices:(List.rev !vtypes) ~edges in
   let b = Builder.create schema in
+  let guard line_no f = try f () with Invalid_argument msg -> raise (Format_error (msg, line_no)) in
   List.iter
     (fun (line_no, id, ty, props) ->
-      let got = Builder.add_vertex b ~vtype:ty ~props:(decode_props line_no props) () in
+      let props = decode_props line_no props in
+      let got = guard line_no (fun () -> Builder.add_vertex b ~vtype:ty ~props ()) in
       if got <> id then
         raise (Format_error (Printf.sprintf "vertex ids must be dense and ordered (expected %d, got %d)" got id, line_no)))
     (List.rev !vertex_lines);
   List.iter
     (fun (line_no, src, dst, ty, props) ->
-      try ignore (Builder.add_edge b ~src ~dst ~etype:ty ~props:(decode_props line_no props) ())
-      with Invalid_argument msg -> raise (Format_error (msg, line_no)))
+      let props = decode_props line_no props in
+      guard line_no (fun () -> ignore (Builder.add_edge b ~src ~dst ~etype:ty ~props ())))
     (List.rev !edge_lines);
   Graph.freeze b
 

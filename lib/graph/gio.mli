@@ -25,5 +25,9 @@ exception Format_error of string * int
 (** Message and 1-based line number. *)
 
 val of_string : string -> Graph.t
+(** Raises [Format_error] on any malformed input: a first line other
+    than the magic, an unparsable number, bool or [%]-escape, an
+    unknown or duplicate type, or an edge the schema rejects. *)
+
 val load : string -> Graph.t
 (** [load path]. *)

@@ -290,8 +290,8 @@ let edge_prop_keys t = Props.keys t.eprops
 let out_degrees_of_type t ty = Array.map (fun v -> out_degree t v) t.by_type.(ty)
 let all_out_degrees t = Array.init t.n (fun v -> out_degree t v)
 
-(* Zero-copy access for the sharded layer (Shard.of_graph): frozen
-   graphs are never mutated, so sharing the arrays is safe. *)
+(* Zero-copy access for the snapshot codec: frozen graphs are never
+   mutated, so sharing the arrays is safe. *)
 let internal_arrays t = (t.vtype, t.e_src, t.e_dst, t.e_type)
 let internal_props t = (t.vprops, t.eprops)
 

@@ -115,8 +115,8 @@ val all_out_degrees : t -> int array
 
 val internal_arrays : t -> int array * int array * int array * int array
 (** [(vtype, e_src, e_dst, e_type)] — the raw topology arrays, shared
-    physically (frozen graphs are never mutated). Feed of the sharded
-    layer ({!Shard.of_graph}); do not mutate. *)
+    physically (frozen graphs are never mutated). Feed of the snapshot
+    codec ([Kaskade_store.Codec]); do not mutate. *)
 
 val internal_props : t -> Props.t * Props.t
 (** [(vertex props, edge props)], shared physically — same contract as

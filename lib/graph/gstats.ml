@@ -28,28 +28,6 @@ let nearest_rank sorted alpha =
     sorted.(Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)))
   end
 
-(* Shared tail of [compute]/[per_shard]: summaries, sources
-   and the record, given the degree arrays and etype histogram. *)
-let finish schema ~n ~m ~sorted_by_type ~sorted_global ~etype_counts =
-  let ntypes = Schema.n_vertex_types schema in
-  let summaries =
-    Array.init ntypes (fun ty ->
-        let sorted = sorted_by_type.(ty) in
-        {
-          type_name = Schema.vertex_type_name schema ty;
-          count = Array.length sorted;
-          deg50 = nearest_rank sorted 50.0;
-          deg90 = nearest_rank sorted 90.0;
-          deg95 = nearest_rank sorted 95.0;
-          deg100 = nearest_rank sorted 100.0;
-          is_source = Schema.edge_types_from schema ty <> [];
-        })
-  in
-  let sources =
-    List.filter (fun ty -> summaries.(ty).is_source) (List.init ntypes (fun i -> i))
-  in
-  { n; m; sorted_by_type; sorted_global; summaries; sources; etype_counts }
-
 let compute ?pool g =
   let pool = match pool with Some p -> p | None -> Pool.default () in
   let schema = Graph.schema g in
@@ -81,41 +59,31 @@ let compute ?pool g =
            counts.(t) <- counts.(t) + 1
          done;
          counts));
-  finish schema ~n:(Graph.n_vertices g) ~m:(Graph.n_edges g) ~sorted_by_type ~sorted_global
-    ~etype_counts
-
-(* Per-shard local statistics: shard [i]'s summary counts, degree
-   distributions (full degrees, cut edges included — a shard prices
-   the traversal work its vertices generate, wherever the far endpoint
-   lives) and out-edge type histogram. The selector sums per-shard
-   size estimates over this array. *)
-let per_shard ?pool:_ sh =
-  let schema = Shard.schema sh in
-  let ntypes = Schema.n_vertex_types schema in
-  let nets = Schema.n_edge_types schema in
-  Array.init (Shard.n_shards sh) (fun i ->
-      let sorted_by_type =
-        Array.init ntypes (fun ty ->
-            let locals = Shard.locals_of_type sh ~shard:i ty in
-            let degs =
-              Array.map (fun l -> Shard.out_degree sh (Shard.global_id sh ~shard:i l)) locals
-            in
-            Array.sort compare degs;
-            degs)
-      in
-      let sorted_global =
-        Array.init (Shard.shard_size sh i) (fun l ->
-            Shard.out_degree sh (Shard.global_id sh ~shard:i l))
-      in
-      Array.sort compare sorted_global;
-      let etype_counts = Array.make nets 0 in
-      for l = 0 to Shard.shard_size sh i - 1 do
-        Shard.iter_out sh (Shard.global_id sh ~shard:i l) (fun ~dst:_ ~etype ~eid:_ ->
-            etype_counts.(etype) <- etype_counts.(etype) + 1)
-      done;
-      finish schema ~n:(Shard.shard_size sh i)
-        ~m:(Array.fold_left ( + ) 0 etype_counts)
-        ~sorted_by_type ~sorted_global ~etype_counts)
+  let summaries =
+    Array.init ntypes (fun ty ->
+        let sorted = sorted_by_type.(ty) in
+        {
+          type_name = Schema.vertex_type_name schema ty;
+          count = Array.length sorted;
+          deg50 = nearest_rank sorted 50.0;
+          deg90 = nearest_rank sorted 90.0;
+          deg95 = nearest_rank sorted 95.0;
+          deg100 = nearest_rank sorted 100.0;
+          is_source = Schema.edge_types_from schema ty <> [];
+        })
+  in
+  let sources =
+    List.filter (fun ty -> summaries.(ty).is_source) (List.init ntypes (fun i -> i))
+  in
+  {
+    n = Graph.n_vertices g;
+    m = Graph.n_edges g;
+    sorted_by_type;
+    sorted_global;
+    summaries;
+    sources;
+    etype_counts;
+  }
 
 let total_vertices t = t.n
 let total_edges t = t.m

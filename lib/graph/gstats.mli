@@ -22,13 +22,6 @@ val compute : ?pool:Kaskade_util.Pool.t -> Graph.t -> t
     {!Kaskade_util.Pool.default}); the result is identical at any
     pool width. *)
 
-val per_shard : ?pool:Kaskade_util.Pool.t -> Shard.t -> t array
-(** Per-shard local statistics — shard [i]'s vertex counts, full
-    out-degree distributions (cut edges included: a shard prices the
-    traversal work its vertices generate wherever the far endpoint
-    lives) and out-edge type histogram. The view selector sums
-    per-shard size estimates over this array. *)
-
 val total_vertices : t -> int
 val total_edges : t -> int
 val summaries : t -> type_summary list

@@ -2,8 +2,8 @@
     served query's telemetry together across layers. A context is a
     16-hex-digit id (same shape as {!Qlog.hash_query}) carried in
     domain-local storage for a dynamic extent: while set, {!Trace}
-    stamps it onto every span (including the [pool.morsel] /
-    [shard.scan] children replayed from worker fan-outs) and
+    stamps it onto every span (including the [pool.morsel] children
+    replayed from worker fan-outs) and
     {!Qlog.add} records it, so a query arriving over the wire groups
     its qlog record, its Chrome-trace spans and its server response
     under a single id.

@@ -95,7 +95,10 @@ let tokenize_pos src =
         while !i < n && is_digit src.[!i] do incr i done;
         emit (FLOAT_LIT (float_of_string (String.sub src start (!i - start))))
       end
-      else emit (INT_LIT (int_of_string (String.sub src start (!i - start))))
+      else
+        match int_of_string_opt (String.sub src start (!i - start)) with
+        | Some v -> emit (INT_LIT v)
+        | None -> raise (Lex_error ("integer literal out of range", start))
     end
     else if c = '\'' then begin
       let start = !i in

@@ -369,9 +369,11 @@ let handle_connection t conn =
         ()
     end
   in
-  loop ();
-  (match !session with Some s -> Session.close s | None -> ());
-  try Unix.close conn with Unix.Unix_error _ -> ()
+  (* Whatever ends the loop, an exception included, the session slot
+     and the fd go back. *)
+  Fun.protect loop ~finally:(fun () ->
+      (match !session with Some s -> Session.close s | None -> ());
+      try Unix.close conn with Unix.Unix_error _ -> ())
 
 (* The sampler thread drives the time-series ring for the server's
    lifetime. An immediate first sample sets the delta baseline; the

@@ -16,10 +16,7 @@
     to [<path>.tmp], are fsynced, and rename into place, so a snapshot
     file either exists wholly valid or not at all; a checksum failure
     (e.g. media damage) raises {!Codec.Corrupt} and recovery falls
-    back to the previous snapshot.
-
-    One format serves every facade: a sharded facade snapshots its
-    frozen graph here too, and re-partitions it after recovery. *)
+    back to the previous snapshot. *)
 
 type contents = {
   seq : int;  (** WAL sequence number the snapshot includes. *)

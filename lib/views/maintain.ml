@@ -513,14 +513,14 @@ let strategy_cost = function
   | Ego_recompute { recomputed } -> recomputed
   | Full_rebuild _ -> 0
 
-let refresh ?pool ?budget ?shards base_after ~view ~ops =
+let refresh ?pool ?budget base_after ~view ~ops =
   Budget.check budget Budget.Refresh;
   Budget.fault_point Budget.Refresh ~site:"maintain.refresh";
   let out =
     match rebuild_reason view with
     | Some reason ->
       let with_path_counts = has_path_counts view in
-      (Materialize.materialize ~with_path_counts ?pool ?budget ?shards base_after
+      (Materialize.materialize ~with_path_counts ?pool ?budget base_after
          view.Materialize.view,
        Full_rebuild { reason })
     | None ->

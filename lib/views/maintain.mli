@@ -82,7 +82,6 @@ val plan :
 val refresh :
   ?pool:Kaskade_util.Pool.t ->
   ?budget:Kaskade_util.Budget.t ->
-  ?shards:Kaskade_graph.Shard.t ->
   Kaskade_graph.Graph.t ->
   view:Materialize.materialized ->
   ops:Kaskade_graph.Graph.Overlay.op list ->
@@ -94,9 +93,7 @@ val refresh :
     same edge multiset, same properties; byte-identical for filter
     summarizers and ego aggregators. [pool] fans out the ego
     recomputation sweeps and is forwarded to [Materialize.materialize]
-    on the rebuild path; [shards] (a partitioning of [base_after])
-    likewise routes a full rebuild's traversals through the sharded
-    CSR without changing a byte of the result.
+    on the rebuild path.
 
     [budget] is checked before any work (stage [Refresh]); the
     full-rebuild path forwards it to [Materialize.materialize] (which

@@ -62,21 +62,9 @@ let endpoint_builder g types edge_decls =
 
 let resolve_pool = function Some p -> p | None -> Pool.default ()
 
-(* Neighbor-iteration closures for the per-source traversals, routed
-   through the sharded layer when one is supplied: each BFS reads a
-   frontier vertex's adjacency from its owner shard and crosses shard
-   boundaries by resolving exchange entries (cut-edge stitching). Both
-   sides emit the same neighbor sequence per vertex, so every
-   materialized view is byte-identical to the single-CSR build. *)
-let out_iter ?shards g =
-  match shards with
-  | Some sh -> fun v f -> Shard.iter_out sh v (fun ~dst ~etype:_ ~eid:_ -> f dst)
-  | None -> fun v f -> Graph.iter_out g v (fun ~dst ~etype:_ ~eid:_ -> f dst)
-
-let out_etype_iter ?shards g ~etype =
-  match shards with
-  | Some sh -> fun v f -> Shard.iter_out_etype sh v ~etype (fun ~dst ~eid:_ -> f dst)
-  | None -> fun v f -> Graph.iter_out_etype g v ~etype (fun ~dst ~eid:_ -> f dst)
+(* Neighbor-iteration closures for the per-source traversals. *)
+let out_iter g v f = Graph.iter_out g v (fun ~dst ~etype:_ ~eid:_ -> f dst)
+let out_etype_iter g ~etype v f = Graph.iter_out_etype g v ~etype (fun ~dst ~eid:_ -> f dst)
 
 (* Budget checkpoints are per source traversal: every worker domain
    steps the (shared, racy-but-monotone) budget once per source, so a
@@ -171,7 +159,7 @@ let exact_k_reach ~n ~iter ~src ~k ~cost emit =
   let cs = !cur_set in
   Int_vec.iter (fun w -> emit w (Scratch.value cs w)) !cur_vec
 
-let connector_k_hop ?(dedupe = true) ?(with_path_counts = false) ?pool ?budget ?shards g
+let connector_k_hop ?(dedupe = true) ?(with_path_counts = false) ?pool ?budget g
     ~src_type ~dst_type ~k =
   let pool = resolve_pool pool in
   let view = View.Connector (View.K_hop { src_type; dst_type; k }) in
@@ -181,7 +169,7 @@ let connector_k_hop ?(dedupe = true) ?(with_path_counts = false) ?pool ?budget ?
   in
   let dst_ty = Schema.vertex_type_id (Graph.schema g) dst_type in
   let n = Graph.n_vertices g in
-  let iter = out_iter ?shards g in
+  let iter = out_iter g in
   let per_source ~cost u emit =
     exact_k_reach ~n ~iter ~src:u ~k ~cost (fun w cnt ->
         if Graph.vertex_type g w = dst_ty then emit u w cnt)
@@ -199,14 +187,14 @@ let connector_k_hop ?(dedupe = true) ?(with_path_counts = false) ?pool ?budget ?
   in
   { view; graph = Graph.freeze b; new_of_old; build_cost = float_of_int cost }
 
-let connector_same_vertex_type ?pool ?budget ?shards g ~vtype =
+let connector_same_vertex_type ?pool ?budget g ~vtype =
   let pool = resolve_pool pool in
   let view = View.Connector (View.Same_vertex_type { vtype }) in
   let edge_name = View.connector_edge_type (View.Same_vertex_type { vtype }) in
   let b, new_of_old = endpoint_builder g [ vtype ] [ (vtype, edge_name, vtype) ] in
   let ty = Schema.vertex_type_id (Graph.schema g) vtype in
   let n = Graph.n_vertices g in
-  let iter = out_iter ?shards g in
+  let iter = out_iter g in
   let per_source ~cost u emit =
     reach_from ~n ~iter ~src:u ~cost (fun w ->
         if Graph.vertex_type g w = ty then emit u w 0)
@@ -218,7 +206,7 @@ let connector_same_vertex_type ?pool ?budget ?shards g ~vtype =
   in
   { view; graph = Graph.freeze b; new_of_old; build_cost = float_of_int cost }
 
-let connector_same_edge_type ?pool ?budget ?shards g ~etype =
+let connector_same_edge_type ?pool ?budget g ~etype =
   let pool = resolve_pool pool in
   let view = View.Connector (View.Same_edge_type { etype }) in
   let edge_name = View.connector_edge_type (View.Same_edge_type { etype }) in
@@ -233,7 +221,7 @@ let connector_same_edge_type ?pool ?budget ?shards g ~etype =
     endpoint_builder g [ src_type; dst_type ] [ (src_type, edge_name, dst_type) ]
   in
   let n = Graph.n_vertices g in
-  let iter = out_etype_iter ?shards g ~etype:etid in
+  let iter = out_etype_iter g ~etype:etid in
   let per_source ~cost u emit =
     reach_from ~n ~iter ~src:u ~cost (fun w ->
         if new_of_old.(w) >= 0 && Graph.vertex_type g w = dst_ty then emit u w 0)
@@ -245,7 +233,7 @@ let connector_same_edge_type ?pool ?budget ?shards g ~etype =
   in
   { view; graph = Graph.freeze b; new_of_old; build_cost = float_of_int cost }
 
-let connector_source_to_sink ?pool ?budget ?shards g =
+let connector_source_to_sink ?pool ?budget g =
   let pool = resolve_pool pool in
   let view = View.Connector View.Source_to_sink in
   let edge_name = View.connector_edge_type View.Source_to_sink in
@@ -266,7 +254,7 @@ let connector_source_to_sink ?pool ?budget ?shards g =
   for u = n - 1 downto 0 do
     if Graph.in_degree g u = 0 && Graph.out_degree g u > 0 then sources := u :: !sources
   done;
-  let iter = out_iter ?shards g in
+  let iter = out_iter g in
   let per_source ~cost u emit =
     reach_from ~n ~iter ~src:u ~cost (fun w ->
         if Graph.out_degree g w = 0 then emit u w 0)
@@ -383,12 +371,8 @@ let summarize_vertex_aggregator g view ~vtype ~group_prop ~agg_prop ~agg =
              ~props:(Graph.edge_props g eid) ()));
   { view; graph = Graph.freeze b; new_of_old; build_cost = float_of_int (Graph.n_edges g) }
 
-let summarize_subgraph_aggregator ?shards g view ~agg_prop ~agg =
-  let uf =
-    match shards with
-    | Some sh -> Kaskade_algo.Connectivity.components_sharded sh
-    | None -> Kaskade_algo.Connectivity.components g
-  in
+let summarize_subgraph_aggregator g view ~agg_prop ~agg =
+  let uf = Kaskade_algo.Connectivity.components g in
   let schema = Schema.define ~vertices:[ "Group" ] ~edges:[] in
   let b = Builder.create schema in
   let super_of_root = Hashtbl.create 64 in
@@ -414,7 +398,7 @@ let summarize_subgraph_aggregator ?shards g view ~agg_prop ~agg =
     members_of_root;
   { view; graph = Graph.freeze b; new_of_old; build_cost = float_of_int (Graph.n_edges g) }
 
-let summarize_ego_aggregator ?pool ?shards g view ~k ~agg_prop ~agg =
+let summarize_ego_aggregator ?pool g view ~k ~agg_prop ~agg =
   let pool = resolve_pool pool in
   let schema = Graph.schema g in
   let b = Builder.create schema in
@@ -432,13 +416,8 @@ let summarize_ego_aggregator ?pool ?shards g view ~k ~agg_prop ~agg =
               Array.init (hi - lo) (fun j ->
                   let v = lo + j in
                   let nbors =
-                    match shards with
-                    | Some sh ->
-                      Kaskade_algo.Traverse.reachable_within_sharded sh ~src:v ~max_hops:k
-                        ~dir:Kaskade_algo.Traverse.Both ()
-                    | None ->
-                      Kaskade_algo.Traverse.reachable_within g ~src:v ~max_hops:k
-                        ~dir:Kaskade_algo.Traverse.Both ()
+                    Kaskade_algo.Traverse.reachable_within g ~src:v ~max_hops:k
+                      ~dir:Kaskade_algo.Traverse.Both ()
                   in
                   aggregate agg (List.map (fun u -> Graph.vprop_or_null g u agg_prop) nbors)))))
   in
@@ -460,26 +439,20 @@ let m_materializations =
 let m_materialized_edges =
   Kaskade_obs.Metrics.counter ~help:"Edges across all materialized views" "views.materialized_edges"
 
-let materialize ?(dedupe = true) ?(with_path_counts = false) ?pool ?budget ?shards g view =
+let materialize ?(dedupe = true) ?(with_path_counts = false) ?pool ?budget g view =
   Kaskade_obs.Trace.with_span "materialize" ~attrs:[ ("view", View.name view) ]
   @@ fun () ->
   Budget.check budget Budget.Materialize;
   Budget.fault_point Budget.Materialize ~site:"materialize";
-  (* Traversal-driven builds (connectors, ego, connected components)
-     route their adjacency reads through [shards] when present; the
-     structural summarizers are single whole-graph passes over the raw
-     arrays, which are partition-independent, so they read [g]
-     directly. Either way the view bytes do not depend on the shard
-     count. *)
   let m =
     match view with
     | View.Connector (View.K_hop { src_type; dst_type; k }) ->
-      connector_k_hop ~dedupe ~with_path_counts ?pool ?budget ?shards g ~src_type ~dst_type ~k
+      connector_k_hop ~dedupe ~with_path_counts ?pool ?budget g ~src_type ~dst_type ~k
     | View.Connector (View.Same_vertex_type { vtype }) ->
-      connector_same_vertex_type ?pool ?budget ?shards g ~vtype
+      connector_same_vertex_type ?pool ?budget g ~vtype
     | View.Connector (View.Same_edge_type { etype }) ->
-      connector_same_edge_type ?pool ?budget ?shards g ~etype
-    | View.Connector View.Source_to_sink -> connector_source_to_sink ?pool ?budget ?shards g
+      connector_same_edge_type ?pool ?budget g ~etype
+    | View.Connector View.Source_to_sink -> connector_source_to_sink ?pool ?budget g
     | View.Summarizer (View.Vertex_inclusion types) -> summarize_inclusion g view types
     | View.Summarizer (View.Vertex_removal types) ->
       summarize_inclusion g view (complement_vertex_types (Graph.schema g) types)
@@ -489,9 +462,9 @@ let materialize ?(dedupe = true) ?(with_path_counts = false) ?pool ?budget ?shar
     | View.Summarizer (View.Vertex_aggregator { vtype; group_prop; agg_prop; agg }) ->
       summarize_vertex_aggregator g view ~vtype ~group_prop ~agg_prop ~agg
     | View.Summarizer (View.Subgraph_aggregator { agg_prop; agg }) ->
-      summarize_subgraph_aggregator ?shards g view ~agg_prop ~agg
+      summarize_subgraph_aggregator g view ~agg_prop ~agg
     | View.Summarizer (View.Ego_aggregator { k; agg_prop; agg }) ->
-      summarize_ego_aggregator ?pool ?shards g view ~k ~agg_prop ~agg
+      summarize_ego_aggregator ?pool g view ~k ~agg_prop ~agg
   in
   (* Summarizers do their work in one structural pass; charge it as a
      lump so a step-capped budget still observes their cost. *)
@@ -502,6 +475,6 @@ let materialize ?(dedupe = true) ?(with_path_counts = false) ?pool ?budget ?shar
   Kaskade_obs.Metrics.incr ~by:(Graph.n_edges m.graph) m_materialized_edges;
   m
 
-let k_hop_connector ?dedupe ?with_path_counts ?pool ?budget ?shards g ~src_type ~dst_type ~k =
-  materialize ?dedupe ?with_path_counts ?pool ?budget ?shards g
+let k_hop_connector ?dedupe ?with_path_counts ?pool ?budget g ~src_type ~dst_type ~k =
+  materialize ?dedupe ?with_path_counts ?pool ?budget g
     (View.Connector (View.K_hop { src_type; dst_type; k }))

@@ -26,7 +26,6 @@ val materialize :
   ?with_path_counts:bool ->
   ?pool:Kaskade_util.Pool.t ->
   ?budget:Kaskade_util.Budget.t ->
-  ?shards:Kaskade_graph.Shard.t ->
   Kaskade_graph.Graph.t ->
   View.t ->
   materialized
@@ -50,14 +49,7 @@ val materialize :
     worker domain — the budget is shared, racy but monotone), and the
     structural cost of summarizers charged as a lump. Exhaustion
     raises [Kaskade_util.Budget.Exhausted] with stage [Materialize];
-    this module is also the ["materialize"] fault-injection site.
-
-    [shards] routes the traversal-driven builds — connector BFS, ego
-    sweeps, connected components — through the sharded CSR: each
-    frontier vertex reads its adjacency from its owner shard and cut
-    edges resolve through the exchange. Must partition [g] itself.
-    The output is byte-identical with and without it, at any shard
-    count or policy. *)
+    this module is also the ["materialize"] fault-injection site. *)
 
 val aggregate : View.aggregate_fn -> Kaskade_graph.Value.t list -> Kaskade_graph.Value.t
 (** Fold a property multiset with one of the paper's aggregators
@@ -69,7 +61,6 @@ val k_hop_connector :
   ?with_path_counts:bool ->
   ?pool:Kaskade_util.Pool.t ->
   ?budget:Kaskade_util.Budget.t ->
-  ?shards:Kaskade_graph.Shard.t ->
   Kaskade_graph.Graph.t ->
   src_type:string ->
   dst_type:string ->

@@ -506,6 +506,60 @@ let test_gio_load_error_closes_fd () =
     check_int "fd count unchanged after failing loads" before after
   end
 
+(* Each malformation is a [Format_error] at the offending line: bad
+   integers in ids and values, bad floats, bools and escapes, unknown
+   and duplicate types, and a missing magic line. *)
+let test_gio_malformed_lines () =
+  let header = "kaskade-graph 1\nvtype Job\netype Job E Job\n" in
+  let line_of text =
+    match Gio.of_string text with
+    | _ -> Alcotest.failf "accepted %S" text
+    | exception Gio.Format_error (_, line) -> line
+  in
+  List.iter
+    (fun (body, line) -> check_int body line (line_of (header ^ body)))
+    [ ("v x Job\n", 4);
+      ("v 0 Job\ne 0 y E\n", 5);
+      ("v 0 Job a=i:zz\n", 4);
+      ("v 0 Job a=s:%zz\n", 4);
+      ("v 0 Job a=f:q\n", 4);
+      ("v 0 Job a=b:maybe\n", 4);
+      ("v 0 File\n", 4);
+      ("etype Job F File\n", 4);
+      ("vtype Job\n", 4);
+      ("etype Job E Job\n", 4) ];
+  check_int "blank first line" 1 (line_of ("\n" ^ header))
+
+(* [of_string] over mutated [to_string] output of a small prov graph
+   — byte flips, truncations, duplicated lines — returns a graph or
+   raises [Format_error], and nothing else. *)
+let prop_gio_mutations_typed =
+  let text =
+    Gio.to_string Kaskade_gen.Provenance_gen.(generate { default with jobs = 4; files = 8; seed = 5 })
+  in
+  let n = String.length text in
+  let mutate acc (kind, pos, byte) =
+    let m = String.length acc in
+    if m = 0 then acc
+    else
+      let pos = pos mod m in
+      match kind with
+      | 0 -> String.mapi (fun i c -> if i = pos then Char.chr byte else c) acc
+      | 1 -> String.sub acc 0 pos
+      | _ ->
+        let lines = String.split_on_char '\n' acc in
+        let k = pos mod List.length lines in
+        String.concat "\n" (List.concat (List.mapi (fun i l -> if i = k then [ l; l ] else [ l ]) lines))
+  in
+  QCheck.Test.make ~name:"Gio.of_string on mutated input raises only Format_error" ~count:500
+    QCheck.(list_of_size Gen.(1 -- 3) (triple (0 -- 2) (0 -- (n - 1)) (0 -- 255)))
+    (fun muts ->
+      let mutated = List.fold_left mutate text muts in
+      match Gio.of_string mutated with
+      | _ -> true
+      | exception Gio.Format_error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "%s on %S" (Printexc.to_string e) mutated)
+
 let prop_gio_roundtrip_random =
   QCheck.Test.make ~name:"Gio roundtrip on random provenance graphs" ~count:20
     QCheck.(pair (5 -- 30) (0 -- 500))
@@ -543,7 +597,8 @@ let test_vindex_multi_match () =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_csr_roundtrip; prop_typed_iteration_matches_filter_scan; prop_gio_roundtrip_random ]
+    [ prop_csr_roundtrip; prop_typed_iteration_matches_filter_scan; prop_gio_roundtrip_random;
+      prop_gio_mutations_typed ]
 
 let () =
   Alcotest.run "kaskade_graph"
@@ -609,6 +664,7 @@ let () =
           Alcotest.test_case "special characters" `Quick test_gio_special_chars;
           Alcotest.test_case "file roundtrip" `Quick test_gio_file_roundtrip;
           Alcotest.test_case "bad magic" `Quick test_gio_bad_magic;
+          Alcotest.test_case "malformed lines are typed" `Quick test_gio_malformed_lines;
           Alcotest.test_case "schema enforced" `Quick test_gio_schema_enforced;
           Alcotest.test_case "failed load leaks no fd" `Quick test_gio_load_error_closes_fd;
         ] );

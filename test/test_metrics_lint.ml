@@ -12,7 +12,6 @@ module Metrics = Kaskade_obs.Metrics
 let _force_linkage : unit list =
   [
     ignore Kaskade.version (* lib/core: view/query/plan-cache metrics *);
-    ignore Kaskade_graph.Shard.policy_name (* lib/graph: kaskade.shard.* *);
     ignore Kaskade_serve.Session.id (* lib/serve: session/queue/shed *);
     ignore Kaskade_serve.Server.shutdown (* lib/serve: serve_requests *);
     ignore Kaskade_store.Wal.last_seq (* lib/store: wal_* *);

@@ -719,57 +719,53 @@ let test_qlog_slow_counter () =
       check_int "at threshold counts" (before + 1) (counter_value "kaskade.slow_queries"));
   Qlog.clear ()
 
-(* Satellite: Chrome trace export under sharded scans — shard.scan
-   spans and their pool.morsel children all carry the originating
-   trace id, at shard counts 1 and 4, and the export stays valid JSON
-   with integer tids throughout. The graph is sized so every shard's
-   candidate array spans several morsels (default grain is >= 256). *)
-let test_shard_scan_trace_spans () =
-  let g = Kaskade_gen.Powerlaw_gen.(generate (scaled ~edges:30_000 ~seed:3)) in
+(* Chrome trace export over a worker fan-out: every pool.morsel span
+   replayed from the worker domains carries the originating trace id,
+   and the export stays valid JSON with integer tids throughout. The
+   pool oversubscribes so two real domains run on any machine, and the
+   range spans several morsels. *)
+let test_morsel_trace_spans () =
   let pool = Pool.create ~domains:2 ~oversubscribe:true () in
+  let n = 4096 and grain = 256 in
+  let id = Tracectx.mint () in
+  let sums, spans =
+    Trace.collect (fun () ->
+        Tracectx.with_ctx id (fun () ->
+            Pool.map_morsels pool ~grain ~n (fun ~lo ~hi ->
+                let acc = ref 0 in
+                for i = lo to hi - 1 do
+                  acc := !acc + i
+                done;
+                !acc)))
+  in
+  check_int "fan-out covers the range" (n * (n - 1) / 2) (Array.fold_left ( + ) 0 sums);
+  let morsels =
+    List.filter (fun sp -> sp.Trace.name = "pool.morsel") (List.concat_map flatten_spans spans)
+  in
+  check_int "one span per morsel" (n / grain) (List.length morsels);
   List.iter
-    (fun s ->
-      let sh = Shard.of_graph ~shards:s g in
-      let id = Tracectx.mint () in
-      let (rows, _), spans =
-        Trace.collect (fun () ->
-            Tracectx.with_ctx id (fun () -> Shard.typed_scan ~pool sh ~etype:0))
-      in
-      check_bool (Printf.sprintf "S=%d: scan produced rows" s) true (rows > 0);
-      let all = List.concat_map flatten_spans spans in
-      let scans = List.filter (fun sp -> sp.Trace.name = "shard.scan") all in
-      let morsels = List.filter (fun sp -> sp.Trace.name = "pool.morsel") all in
-      check_int (Printf.sprintf "S=%d: one shard.scan span per shard" s) s (List.length scans);
-      check_bool (Printf.sprintf "S=%d: morsel spans present" s) true (morsels <> []);
+    (fun sp ->
+      check_bool "morsel span carries originating trace id" true
+        (List.assoc_opt "trace" sp.Trace.attrs = Some id))
+    morsels;
+  let chrome = Obs.Trace_export.to_chrome_string spans in
+  check_bool "trace id survives into export" true (string_contains chrome id);
+  match Report.parse chrome with
+  | Error e -> Alcotest.fail ("chrome trace is not valid JSON: " ^ e)
+  | Ok j -> begin
+    match Report.member "traceEvents" j with
+    | Some (Report.List events) ->
+      check_bool "events exported" true (events <> []);
       List.iter
-        (fun sp ->
-          check_bool
-            (Printf.sprintf "S=%d: %s span carries originating trace id" s sp.Trace.name)
-            true
-            (List.assoc_opt "trace" sp.Trace.attrs = Some id))
-        (scans @ morsels);
-      let chrome = Obs.Trace_export.to_chrome_string spans in
-      check_bool (Printf.sprintf "S=%d: trace id survives into export" s) true
-        (string_contains chrome id);
-      match Report.parse chrome with
-      | Error e -> Alcotest.fail ("chrome trace is not valid JSON: " ^ e)
-      | Ok j -> begin
-        match Report.member "traceEvents" j with
-        | Some (Report.List events) ->
-          check_bool (Printf.sprintf "S=%d: events exported" s) true (events <> []);
-          List.iter
-            (fun e ->
-              match Report.member "tid" e with
-              | Some (Report.Int t) ->
-                check_bool (Printf.sprintf "S=%d: tid non-negative" s) true (t >= 0)
-              | Some (Report.Float f) ->
-                check_bool (Printf.sprintf "S=%d: tid integral" s) true
-                  (Float.is_integer f && f >= 0.0)
-              | _ -> Alcotest.fail "trace event without an integer tid")
-            events
-        | _ -> Alcotest.fail "no traceEvents array"
-      end)
-    [ 1; 4 ]
+        (fun e ->
+          match Report.member "tid" e with
+          | Some (Report.Int t) -> check_bool "tid non-negative" true (t >= 0)
+          | Some (Report.Float f) ->
+            check_bool "tid integral" true (Float.is_integer f && f >= 0.0)
+          | _ -> Alcotest.fail "trace event without an integer tid")
+        events
+    | _ -> Alcotest.fail "no traceEvents array"
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus exposition, health model, time series                    *)
@@ -944,8 +940,7 @@ let () =
           Alcotest.test_case "span stamping" `Quick test_span_trace_stamping;
           Alcotest.test_case "qlog stamping + round-trip" `Quick test_qlog_trace_stamping;
           Alcotest.test_case "slow-query counter" `Quick test_qlog_slow_counter;
-          Alcotest.test_case "sharded scan spans carry trace id" `Quick
-            test_shard_scan_trace_spans ] );
+          Alcotest.test_case "morsel spans carry trace id" `Quick test_morsel_trace_spans ] );
       ( "telemetry",
         [ Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
           Alcotest.test_case "health evaluation" `Quick test_health_evaluate;

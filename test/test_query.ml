@@ -149,6 +149,26 @@ let test_parse_errors () =
   check_bool "unclosed paren" true (fails "SELECT a FROM (MATCH (x) RETURN x");
   check_bool "bad range" true (fails "MATCH (a)-[*1..]->(b) RETURN a")
 
+(* An integer literal past [max_int] — a LIMIT or a var-length bound —
+   is a positioned parse error at the literal's first byte, not an
+   untyped [Failure] out of the lexer. *)
+let test_parse_int_literal_range () =
+  let positioned src col =
+    match Kaskade.parse_result src with
+    | Error (Kaskade.Error.Parse { line; col = c; _ }) ->
+      check_int (src ^ ": line") 1 line;
+      check_int (src ^ ": col") col c
+    | Error e -> Alcotest.failf "%s: not a parse error: %s" src (Kaskade.Error.to_string e)
+    | Ok _ -> Alcotest.failf "%s: parsed" src
+  in
+  positioned "MATCH (a)-[r]->(b) RETURN a LIMIT 99999999999999999999999" 35;
+  positioned "MATCH (a)-[r*1..99999999999999999999]->(b) RETURN a" 17;
+  check_bool "max_int still lexes" true
+    (Result.is_ok
+       (Kaskade.parse_result
+          (Printf.sprintf "SELECT a FROM (MATCH (a)-[r*1..%d]->(b) RETURN a) LIMIT %d" max_int
+             max_int)))
+
 (* ------------------------------------------------------------------ *)
 (* Pretty-printer round trip                                           *)
 
@@ -300,6 +320,7 @@ let () =
           Alcotest.test_case "expression precedence" `Quick test_parse_expression_precedence;
           Alcotest.test_case "aggregates" `Quick test_parse_aggregates;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "out-of-range int literal" `Quick test_parse_int_literal_range;
           Alcotest.test_case "order by / limit" `Quick test_parse_order_by_limit;
           Alcotest.test_case "distinct" `Quick test_parse_distinct;
         ] );

@@ -391,12 +391,12 @@ let test_server_trace_health_metrics () =
   rm_rf dir
 
 (* A server socket in the temp dir, [run] on its own thread. *)
-let start_server ?(ks = K.make (prov ())) name =
+let start_server ?(ks = K.make (prov ())) ?(max_sessions = 4) name =
   let socket =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "kaskade-test-%s-%d.sock" name (Unix.getpid ()))
   in
-  let server = Serve.Server.create ~max_sessions:4 ~socket ks in
+  let server = Serve.Server.create ~max_sessions ~socket ks in
   (socket, Thread.create (fun () -> Serve.Server.run server) ())
 
 let stop_server socket th =
@@ -477,6 +477,61 @@ let test_server_line_cap () =
   check_string "next connection is served" "1"
     (List.assoc "pong" (Serve.Client.status (Serve.Client.request c "PING")));
   Serve.Client.close c;
+  stop_server socket th
+
+(* An integer literal past [max_int] is a typed parse error over the
+   wire, and a connection that ends without CLOSE gives its session
+   back: with [max_sessions = 2], two connections each OPEN, send one
+   out-of-range literal (a LIMIT, a var-length bound) and hang up; a
+   third OPEN is then admitted. Reads time out, so a handler that died
+   without answering fails the test instead of hanging it. *)
+let test_server_bad_literal_releases_session () =
+  let socket, th = start_server ~max_sessions:2 "literal" in
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX socket);
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+    (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+  in
+  let request (_, ic, oc) line =
+    output_string oc (line ^ "\n");
+    flush oc;
+    let rec read () =
+      match input_line ic with
+      | l when Serve.Wire.fields l <> None -> Serve.Client.status [ l ]
+      | _ -> read ()
+      | exception (Sys_error _ | Sys_blocked_io | End_of_file) -> Alcotest.failf "no reply to %S" line
+    in
+    read ()
+  in
+  List.iter
+    (fun q ->
+      let c = connect () in
+      check_string "open" "ok" (List.assoc "_status" (request c "OPEN"));
+      let kvs = request c ("Q " ^ q) in
+      check_string "literal is an ERR" "err" (List.assoc "_status" kvs);
+      check_string "labelled parse" "parse" (List.assoc "label" kvs);
+      let fd, _, _ = c in
+      Unix.close fd)
+    [ "MATCH (a)-[r]->(b) RETURN a LIMIT 99999999999999999999999";
+      "MATCH (a)-[r*1..99999999999999999999]->(b) RETURN a" ];
+  (* The handlers release on the server side after the hang-up, so
+     the third OPEN retries (bounded) while it is shed. *)
+  let c = connect () in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec admitted () =
+    let kvs = request c "OPEN" in
+    if List.assoc "_status" kvs = "ok" then true
+    else if Unix.gettimeofday () > deadline then false
+    else begin
+      Thread.delay 0.01;
+      admitted ()
+    end
+  in
+  check_bool "third OPEN admitted" true (admitted ());
+  ignore (request c "CLOSE");
+  let fd, _, _ = c in
+  Unix.close fd;
   stop_server socket th
 
 (* ------------------------------------------------------------------ *)
@@ -879,7 +934,9 @@ let () =
           Alcotest.test_case "trace + health + metrics end to end" `Slow
             test_server_trace_health_metrics;
           Alcotest.test_case "finished connections are reaped" `Slow test_server_reaps_handlers;
-          Alcotest.test_case "request line is bounded" `Slow test_server_line_cap ] );
+          Alcotest.test_case "request line is bounded" `Slow test_server_line_cap;
+          Alcotest.test_case "bad literal releases its session" `Quick
+            test_server_bad_literal_releases_session ] );
       ( "drill",
         [ Alcotest.test_case "pinned readers, sheds, health" `Slow test_concurrency_health_drill;
           Alcotest.test_case "WAL logs every batch" `Quick test_wal_logs_every_batch ] );

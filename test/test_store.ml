@@ -3,8 +3,7 @@
    catalog, crash-atomic text saves, typed I/O errors, and replay
    idempotency through the facade — including batches with duplicated
    delete keys, whose multiset semantics must replay exactly as they
-   applied live, and sharded facades, which snapshot and recover
-   through the same single-file format. *)
+   applied live, and views that answer identically after recovery. *)
 
 open Kaskade_graph
 module K = Kaskade
@@ -255,17 +254,14 @@ let test_corrupt_snapshot_falls_back () =
   graph_eq "fallback snapshot + replay equals live" (K.graph ks) (K.graph rks);
   rm_rf dir
 
-(* A sharded facade has no per-shard on-disk format: it snapshots its
-   frozen graph like any other facade and re-partitions after
-   recovery. Views materialized, batches applied on both sides of a
-   snapshot, then a [shards = 4] recovery must answer the Fig. 7
-   anchored queries byte for byte like the live facade — through the
-   views and on the base graph alike. *)
-let test_recover_sharded () =
-  let dir = tmp_dir "sharded" in
+(* Views materialized, batches applied on both sides of a snapshot,
+   then a recovery must answer the Fig. 7 anchored queries byte for
+   byte like the live facade — through the views and on the base
+   graph alike. *)
+let test_recover_answers () =
+  let dir = tmp_dir "answers" in
   let config =
-    { K.Config.default with
-      data_dir = Some dir; fsync_policy = Wal.Never; snapshot_every = 0; shards = 4 }
+    { K.Config.default with data_dir = Some dir; fsync_policy = Wal.Never; snapshot_every = 0 }
   in
   let ks = K.make ~config (small_graph ()) in
   let queries =
@@ -404,8 +400,7 @@ let () =
           Alcotest.test_case "replay matches live (dup delete keys)" `Quick
             test_recover_matches_live;
           Alcotest.test_case "recovery is idempotent" `Quick test_recover_is_idempotent;
-          Alcotest.test_case "sharded facade recovers byte-identically" `Quick
-            test_recover_sharded;
+          Alcotest.test_case "facade recovers byte-identically" `Quick test_recover_answers;
           Alcotest.test_case "corrupt snapshot falls back" `Quick
             test_corrupt_snapshot_falls_back;
           Alcotest.test_case "mid-append kill recovers to the twin" `Quick
