@@ -106,33 +106,20 @@ let is_bound = function Row.Prim Value.Null -> false | _ -> true
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
 
-let rec eval_expr g (env : string -> Row.rval) (e : Ast.expr) : Row.rval =
-  match e with
-  | Ast.Var v -> env v
-  | Ast.Prop (v, p) -> begin
-    match env v with
-    | Row.V vid -> Row.Prim (Graph.vprop_or_null g vid p)
-    | Row.E eid -> Row.Prim (Graph.eprop_or_null g eid p)
-    | Row.Prim _ -> Row.Prim Value.Null
-  end
-  | Ast.Lit v -> Row.Prim v
-  | Ast.Unop (Ast.Neg, e) -> begin
-    match eval_expr g env e with
-    | Row.Prim (Value.Int n) -> Row.Prim (Value.Int (-n))
-    | Row.Prim (Value.Float f) -> Row.Prim (Value.Float (-.f))
-    | _ -> Row.Prim Value.Null
-  end
-  | Ast.Unop (Ast.Not, e) -> begin
-    match eval_expr g env e with
-    | Row.Prim v -> Row.Prim (Value.Bool (not (Value.is_truthy v)))
-    | _ -> Row.Prim (Value.Bool false)
-  end
-  | Ast.Binop (op, a, b) -> eval_binop g env op a b
-  | Ast.Agg _ | Ast.Count_star ->
-    invalid_arg "Executor: aggregate in a non-aggregating position"
+(* An expression compiled against one row layout. [compile_expr g
+   resolve e] maps each variable of [e] to its column through
+   [resolve] once, before any row is read, so evaluating it does no
+   name lookup; a variable [resolve] does not know reads as null. *)
+type compiled = Row.rval array -> Row.rval
 
-and eval_binop g env op a b =
-  let va = eval_expr g env a and vb = eval_expr g env b in
+let truthy = function Row.Prim v -> Value.is_truthy v | Row.V _ | Row.E _ -> true
+
+let negate = function
+  | Row.Prim (Value.Int n) -> Row.Prim (Value.Int (-n))
+  | Row.Prim (Value.Float f) -> Row.Prim (Value.Float (-.f))
+  | _ -> unbound
+
+let apply_binop op va vb =
   let prim f =
     match (va, vb) with
     | Row.Prim x, Row.Prim y -> Row.Prim (f x y)
@@ -149,11 +136,48 @@ and eval_binop g env op a b =
   | Ast.Le -> Row.Prim (Value.Bool (Row.rval_compare va vb <= 0))
   | Ast.Gt -> Row.Prim (Value.Bool (Row.rval_compare va vb > 0))
   | Ast.Ge -> Row.Prim (Value.Bool (Row.rval_compare va vb >= 0))
-  | Ast.And ->
-    Row.Prim (Value.Bool (truthy va && truthy vb))
+  | Ast.And -> Row.Prim (Value.Bool (truthy va && truthy vb))
   | Ast.Or -> Row.Prim (Value.Bool (truthy va || truthy vb))
 
-and truthy = function Row.Prim v -> Value.is_truthy v | Row.V _ | Row.E _ -> true
+let rec compile_expr g (resolve : string -> int option) (e : Ast.expr) : compiled =
+  match e with
+  | Ast.Var v -> begin
+    match resolve v with Some i -> fun row -> row.(i) | None -> fun _ -> unbound
+  end
+  | Ast.Prop (v, p) -> (
+    let var = compile_expr g resolve (Ast.Var v) in
+    fun row ->
+      match var row with
+      | Row.V vid -> Row.Prim (Graph.vprop_or_null g vid p)
+      | Row.E eid -> Row.Prim (Graph.eprop_or_null g eid p)
+      | Row.Prim _ -> unbound)
+  | Ast.Lit v ->
+    let r = Row.Prim v in
+    fun _ -> r
+  | Ast.Unop (Ast.Neg, e) ->
+    let f = compile_expr g resolve e in
+    fun row -> negate (f row)
+  | Ast.Unop (Ast.Not, e) -> (
+    let f = compile_expr g resolve e in
+    fun row ->
+      match f row with
+      | Row.Prim v -> Row.Prim (Value.Bool (not (Value.is_truthy v)))
+      | _ -> Row.Prim (Value.Bool false))
+  | Ast.Binop (op, a, b) ->
+    let fa = compile_expr g resolve a and fb = compile_expr g resolve b in
+    fun row ->
+      let va = fa row in
+      apply_binop op va (fb row)
+  | Ast.Agg _ | Ast.Count_star ->
+    fun _ -> invalid_arg "Executor: aggregate in a non-aggregating position"
+
+(* A projection: one output column per compiled expression. *)
+let project_with (exprs : compiled list) =
+  let exprs = Array.of_list exprs in
+  fun row -> Array.map (fun f -> f row) exprs
+
+let project_items g resolve (items : Ast.select_item list) =
+  project_with (List.map (fun (it : Ast.select_item) -> compile_expr g resolve it.item_expr) items)
 
 (* ------------------------------------------------------------------ *)
 (* Pattern matching                                                    *)
@@ -182,10 +206,55 @@ let collect_slots (patterns : Ast.pattern list) =
     patterns;
   slots
 
-let label_ok g (n : Ast.node_pat) v =
+(* The label test of a node pattern, resolved to a vertex type id
+   (Analyze has rejected unknown labels). *)
+let label_test g (n : Ast.node_pat) =
   match n.n_label with
-  | None -> true
-  | Some l -> String.equal (Graph.vertex_type_name g v) l
+  | None -> fun _ -> true
+  | Some l ->
+    let ty = Schema.vertex_type_id (Graph.schema g) l in
+    fun v -> Graph.vertex_type g v = ty
+
+(* One pattern step with its names resolved against the block's slots
+   and the schema before any row is bound. [op] is the step's fused
+   operator index (the start scan is 0). *)
+type step = {
+  edge : Ast.edge_pat;
+  etype : int option;
+  edge_slot : int option;
+  node_ok : int -> bool;
+  node_slot : int option;
+  op : int;
+}
+
+let compile_steps g slots (p : Ast.pattern) =
+  let schema = Graph.schema g in
+  let slot_of = Option.map (Hashtbl.find slots.index) in
+  List.mapi
+    (fun i ((e : Ast.edge_pat), (n : Ast.node_pat)) ->
+      {
+        edge = e;
+        etype = Option.map (Schema.edge_type_id schema) e.e_label;
+        edge_slot = slot_of e.e_var;
+        node_ok = label_test g n;
+        node_slot = slot_of n.n_var;
+        op = i + 1;
+      })
+    p.p_steps
+
+(* Bind vertex [v] to [slot] of [row] and continue with [k]: a bound
+   slot must already hold [v]; an unbound one is filled in a copy. *)
+let bind_vertex row slot v k =
+  match slot with
+  | None -> k row
+  | Some i -> (
+    match row.(i) with
+    | Row.Prim Value.Null ->
+      let row' = Array.copy row in
+      row'.(i) <- Row.V v;
+      k row'
+    | Row.V u -> if u = v then k row
+    | Row.E _ | Row.Prim _ -> ())
 
 (* Distinct-endpoint var-length expansion: emit (endpoint, hops) once
    per endpoint whose walk length can fall in [lo, hi].
@@ -356,23 +425,21 @@ let equality_probe = Cost.equality_probe
    this block: children are one "Pattern" node per pattern (whose own
    children are the fused scan/expand operators) followed by a
    "Filter" node when a WHERE clause exists. The executor fills actual
-   row counts (successful bindings) and per-pattern wall time into
-   that same tree. *)
+   row counts (successful bindings) and the wall time of each pattern
+   and of the filter into that same tree. *)
 let eval_match ?prof ?budget ctx (mb : Ast.match_block) : Row.table =
   let g = ctx.g in
-  let schema = Graph.schema g in
   let slots = collect_slots mb.patterns in
-  let env_of_row (row : Row.rval array) name =
-    match Hashtbl.find_opt slots.index name with
-    | Some i -> row.(i)
-    | None -> Row.Prim Value.Null
-  in
+  let resolve = Hashtbl.find_opt slots.index in
   let initial = [ Array.make (Stdlib.max slots.width 1) unbound ] in
   (* [tally i] counts one successful binding at fused-operator index
      [i] of the current pattern (0 = start scan, j = j-th step) — only
      wired up when profiling. *)
   let expand_pattern ?(tally = fun (_ : int) -> ()) rows (p : Ast.pattern) =
     let n_steps = List.length p.p_steps in
+    let start_ok = label_test g p.p_start in
+    let start_slot = Option.map (Hashtbl.find slots.index) p.p_start.n_var in
+    let steps_of_p = compile_steps g slots p in
     (* The whole per-candidate pipeline (scan test, step walk,
        var-length expansion), parameterized over its row and tally
        sinks so the parallel scan below can give each morsel its own
@@ -381,88 +448,48 @@ let eval_match ?prof ?budget ctx (mb : Ast.match_block) : Row.table =
     let make_start ~emit ~tally =
       let rec steps row cur = function
         | [] -> emit row
-        | ((e : Ast.edge_pat), (n : Ast.node_pat)) :: rest ->
-          let accept_vertex ?edge_rval v =
-            if label_ok g n v then begin
-              let proceed row =
-                tally (n_steps - List.length rest);
-                bind_edge row e edge_rval (fun row -> steps row v rest)
-              in
-              match n.n_var with
-              | Some name ->
-                let i = Hashtbl.find slots.index name in
-                if is_bound row.(i) then begin
-                  if Row.rval_equal row.(i) (Row.V v) then proceed row
-                end
-                else begin
-                  let row' = Array.copy row in
-                  row'.(i) <- Row.V v;
-                  proceed row'
-                end
-              | None -> proceed row
-            end
+        | st :: rest ->
+          let accept_vertex edge_rval v =
+            if st.node_ok v then
+              bind_vertex row st.node_slot v (fun row ->
+                  tally st.op;
+                  match st.edge_slot with
+                  | Some i ->
+                    let row' = Array.copy row in
+                    row'.(i) <- edge_rval;
+                    steps row' v rest
+                  | None -> steps row v rest)
           in
-          (match e.e_len with
+          (match st.edge.e_len with
           | Ast.Single -> begin
             (* Labelled steps walk their typed slice directly instead of
                filter-scanning the whole adjacency. *)
-            let etype = Option.map (Schema.edge_type_id schema) e.e_label in
-            match (e.e_dir, etype) with
+            match (st.edge.e_dir, st.etype) with
             | Ast.Fwd, Some et ->
-              Graph.iter_out_etype g cur ~etype:et (fun ~dst ~eid ->
-                  accept_vertex ~edge_rval:(Row.E eid) dst)
+              Graph.iter_out_etype g cur ~etype:et (fun ~dst ~eid -> accept_vertex (Row.E eid) dst)
             | Ast.Fwd, None ->
-              Graph.iter_out g cur (fun ~dst ~etype:_ ~eid ->
-                  accept_vertex ~edge_rval:(Row.E eid) dst)
+              Graph.iter_out g cur (fun ~dst ~etype:_ ~eid -> accept_vertex (Row.E eid) dst)
             | Ast.Bwd, Some et ->
-              Graph.iter_in_etype g cur ~etype:et (fun ~src ~eid ->
-                  accept_vertex ~edge_rval:(Row.E eid) src)
+              Graph.iter_in_etype g cur ~etype:et (fun ~src ~eid -> accept_vertex (Row.E eid) src)
             | Ast.Bwd, None ->
-              Graph.iter_in g cur (fun ~src ~etype:_ ~eid ->
-                  accept_vertex ~edge_rval:(Row.E eid) src)
+              Graph.iter_in g cur (fun ~src ~etype:_ ~eid -> accept_vertex (Row.E eid) src)
           end
           | Ast.Var_length (lo, hi) ->
-            let etype = Option.map (Schema.edge_type_id schema) e.e_label in
-            let emit_endpoint v hops =
-              accept_vertex ~edge_rval:(Row.Prim (Value.Int hops)) v
-            in
+            let emit_endpoint v hops = accept_vertex (Row.Prim (Value.Int hops)) v in
+            let etype = st.etype and dir = st.edge.e_dir in
             (match ctx.mode with
             | Distinct_endpoints ->
-              var_length_endpoints ?budget g ~src:cur ~lo ~hi ~etype ~dir:e.e_dir
-                emit_endpoint
-            | All_trails ->
-              var_length_trails ?budget g ~src:cur ~lo ~hi ~etype ~dir:e.e_dir emit_endpoint))
-      and bind_edge row (e : Ast.edge_pat) edge_rval k =
-        match (e.e_var, edge_rval) with
-        | Some name, Some rv ->
-          let i = Hashtbl.find slots.index name in
-          let row' = Array.copy row in
-          row'.(i) <- rv;
-          k row'
-        | _ -> k row
+              var_length_endpoints ?budget g ~src:cur ~lo ~hi ~etype ~dir emit_endpoint
+            | All_trails -> var_length_trails ?budget g ~src:cur ~lo ~hi ~etype ~dir emit_endpoint))
       in
       fun row (v : int) ->
         (* Scan checkpoint: one step per candidate start vertex,
            whether or not it binds. *)
         Budget.step budget Budget.Execute;
-        if label_ok g p.p_start v then begin
-          let proceed row =
-            tally 0;
-            steps row v p.p_steps
-          in
-          match p.p_start.n_var with
-          | Some name ->
-            let i = Hashtbl.find slots.index name in
-            if is_bound row.(i) then begin
-              if Row.rval_equal row.(i) (Row.V v) then proceed row
-            end
-            else begin
-              let row' = Array.copy row in
-              row'.(i) <- Row.V v;
-              proceed row'
-            end
-          | None -> proceed row
-        end
+        if start_ok v then
+          bind_vertex row start_slot v (fun row ->
+              tally 0;
+              steps row v steps_of_p)
     in
     let out = ref [] in
     let emit row =
@@ -521,23 +548,21 @@ let eval_match ?prof ?budget ctx (mb : Ast.match_block) : Row.table =
           start row (candidate i)
         done
     in
+    (* An equality predicate on the start variable turns an unbound
+       start's scan into an index probe. *)
+    let index_probe =
+      match (p.p_start.n_var, mb.m_where) with
+      | Some var, Some cond -> equality_probe cond var
+      | _ -> None
+    in
     List.iter
       (fun row ->
         (* If the start variable is already bound, resume from it
            directly instead of scanning. *)
         let bound_start =
-          match p.p_start.n_var with
-          | Some name -> begin
-            match env_of_row row name with Row.V v -> Some v | _ -> None
-          end
+          match start_slot with
+          | Some i -> begin match row.(i) with Row.V v -> Some v | _ -> None end
           | None -> None
-        in
-        (* An equality predicate on the start variable turns the scan
-           into an index probe. *)
-        let index_probe =
-          match (bound_start, p.p_start.n_var, mb.m_where) with
-          | None, Some var, Some cond -> equality_probe cond var
-          | _ -> None
         in
         match (bound_start, index_probe) with
         | Some v, _ -> start row v
@@ -587,17 +612,18 @@ let eval_match ?prof ?budget ctx (mb : Ast.match_block) : Row.table =
     match mb.m_where with
     | None -> rows
     | Some cond ->
-      let rows = List.filter (fun row -> truthy (eval_expr g (env_of_row row) cond)) rows in
+      let t0 = match prof with None -> 0.0 | Some _ -> Trace.now_s () in
+      let test = compile_expr g resolve cond in
+      let rows = List.filter (fun row -> truthy (test row)) rows in
       (match child_prof n_patterns with
-      | Some fnode -> Explain.set_actual fnode (List.length rows)
+      | Some fnode ->
+        Explain.set_actual fnode (List.length rows);
+        Explain.set_time fnode (Trace.now_s () -. t0)
       | None -> ());
       rows
   in
   let cols = Array.of_list (List.mapi Ast.item_name mb.returns) in
-  let project row =
-    Array.of_list (List.map (fun (it : Ast.select_item) -> eval_expr g (env_of_row row) it.item_expr) mb.returns)
-  in
-  let table = { Row.cols; rows = List.map project rows } in
+  let table = { Row.cols; rows = List.map (project_items g resolve mb.returns) rows } in
   (match prof with
   | Some m ->
     Explain.set_actual m (List.length table.Row.rows);
@@ -608,98 +634,249 @@ let eval_match ?prof ?budget ctx (mb : Ast.match_block) : Row.table =
 (* ------------------------------------------------------------------ *)
 (* SELECT blocks                                                       *)
 
-let rec eval_agg g rows env_of_row (e : Ast.expr) : Row.rval =
-  match e with
-  | Ast.Count_star -> Row.Prim (Value.Int (List.length rows))
-  | Ast.Agg (kind, inner) -> begin
-    let values =
-      List.filter_map
-        (fun row ->
-          match eval_expr g (env_of_row row) inner with
-          | Row.Prim Value.Null -> None
-          | v -> Some v)
-        rows
-    in
-    match kind with
-    | Ast.Count -> Row.Prim (Value.Int (List.length values))
-    | Ast.Sum ->
-      Row.Prim
-        (List.fold_left
-           (fun acc v ->
-             match v with
-             | Row.Prim p -> Value.add acc p
-             | _ -> invalid_arg "SUM over a graph entity")
-           (Value.Int 0) values)
-    | Ast.Avg -> begin
-      let total =
-        List.fold_left
-          (fun acc v ->
-            match v with
-            | Row.Prim p -> begin
-              match Value.to_float p with Some f -> acc +. f | None -> acc
-            end
-            | _ -> invalid_arg "AVG over a graph entity")
-          0.0 values
-      in
-      match values with
-      | [] -> Row.Prim Value.Null
-      | _ -> Row.Prim (Value.Float (total /. float_of_int (List.length values)))
-    end
-    | Ast.Min -> begin
-      match values with
-      | [] -> Row.Prim Value.Null
-      | first :: rest ->
-        List.fold_left (fun acc v -> if Row.rval_compare v acc < 0 then v else acc) first rest
-    end
-    | Ast.Max -> begin
-      match values with
-      | [] -> Row.Prim Value.Null
-      | first :: rest ->
-        List.fold_left (fun acc v -> if Row.rval_compare v acc > 0 then v else acc) first rest
-    end
-  end
-  | Ast.Binop (op, a, b) when Ast.has_aggregate e ->
-    let va = eval_agg g rows env_of_row a and vb = eval_agg g rows env_of_row b in
-    combine_binop op va vb
-  | Ast.Unop (Ast.Neg, inner) when Ast.has_aggregate e -> begin
-    match eval_agg g rows env_of_row inner with
-    | Row.Prim (Value.Int n) -> Row.Prim (Value.Int (-n))
-    | Row.Prim (Value.Float f) -> Row.Prim (Value.Float (-.f))
-    | _ -> Row.Prim Value.Null
-  end
-  | _ -> begin
-    (* Non-aggregate expression inside an aggregating projection:
-       evaluate on a representative row (SQL-style, the group key). *)
-    match rows with
-    | [] -> Row.Prim Value.Null
-    | row :: _ -> eval_expr g (env_of_row row) e
-  end
+(* Keys (GROUP BY values, DISTINCT rows) are numbered in first-seen
+   order by an open-addressing table. It is sized for at most [n]
+   keys, one per input row, so it is never more than half full and
+   never grows. Two keys are equal when every element is equal under
+   [compare = 0], the equality a generic [Hashtbl] applies, so keys
+   split exactly as they would there; the hash agrees with it
+   ([Hashtbl.hash] on primitives, ids mixed directly). *)
+type key_table = {
+  slots : int array;  (* key id, or -1 when empty *)
+  mask : int;
+  keys : Row.rval array array;  (* by key id *)
+  hashes : int array;  (* by key id *)
+  mutable count : int;
+}
 
-and combine_binop op va vb =
-  let prim f =
-    match (va, vb) with
-    | Row.Prim x, Row.Prim y -> Row.Prim (f x y)
-    | _ -> invalid_arg "Executor: arithmetic on a graph entity"
+let key_table n =
+  let rec size s = if s >= 2 * n then s else size (2 * s) in
+  let size = size 16 in
+  {
+    slots = Array.make size (-1);
+    mask = size - 1;
+    keys = Array.make (Stdlib.max n 1) [||];
+    hashes = Array.make (Stdlib.max n 1) 0;
+    count = 0;
+  }
+
+(* A final avalanche per element: without it, keys of small dense ids
+   such as (source, target) vertex pairs land in runs of adjacent
+   slots and linear probing degrades. *)
+let mix h =
+  let h = (h lxor (h lsr 32)) * 0x3c6ef372fe94f82b in
+  let h = (h lxor (h lsr 29)) * 0x2545f4914f6cdd1d in
+  h lxor (h lsr 32)
+
+let key_hash (key : Row.rval array) =
+  let h = ref 0 in
+  for i = 0 to Array.length key - 1 do
+    let e =
+      match key.(i) with
+      | Row.V v -> v lsl 1
+      | Row.E e -> (e lsl 1) lor 1
+      | Row.Prim p -> Hashtbl.hash p
+    in
+    h := mix (!h + e)
+  done;
+  !h
+
+let same_rval a b =
+  match (a, b) with
+  | Row.V x, Row.V y | Row.E x, Row.E y -> x = y
+  | Row.Prim x, Row.Prim y -> Stdlib.compare x y = 0
+  | _ -> false
+
+let same_key (a : Row.rval array) (b : Row.rval array) =
+  let n = Array.length a in
+  let rec go i = i = n || (same_rval a.(i) b.(i) && go (i + 1)) in
+  n = Array.length b && go 0
+
+(* The id of [key], a fresh one (the number of keys seen so far) when
+   it is new. A new key is stored, not copied. *)
+let key_id t key =
+  let h = key_hash key in
+  let rec probe i =
+    let id = t.slots.(i) in
+    if id < 0 then begin
+      let id = t.count in
+      t.slots.(i) <- id;
+      t.keys.(id) <- key;
+      t.hashes.(id) <- h;
+      t.count <- id + 1;
+      id
+    end
+    else if t.hashes.(id) = h && same_key t.keys.(id) key then id
+    else probe ((i + 1) land t.mask)
   in
-  match op with
-  | Ast.Add -> prim Value.add
-  | Ast.Sub -> prim Value.sub
-  | Ast.Mul -> prim Value.mul
-  | Ast.Div -> prim Value.div
-  | Ast.Eq -> Row.Prim (Value.Bool (Row.rval_equal va vb))
-  | Ast.Ne -> Row.Prim (Value.Bool (not (Row.rval_equal va vb)))
-  | Ast.Lt -> Row.Prim (Value.Bool (Row.rval_compare va vb < 0))
-  | Ast.Le -> Row.Prim (Value.Bool (Row.rval_compare va vb <= 0))
-  | Ast.Gt -> Row.Prim (Value.Bool (Row.rval_compare va vb > 0))
-  | Ast.Ge -> Row.Prim (Value.Bool (Row.rval_compare va vb >= 0))
-  | Ast.And | Ast.Or -> invalid_arg "Executor: boolean combination of aggregates"
+  probe (h land t.mask)
+
+(* One aggregate call's running state, one cell per group id. Values
+   that evaluate to null are skipped by every kind but [Count_rows]. *)
+type acc =
+  | Count_rows of int array  (* COUNT( * ) *)
+  | Count of compiled * int array
+  | Sum of compiled * Value.t array  (* left fold of [Value.add] from [Int 0] *)
+  | Avg of compiled * float array * int array  (* numeric total, non-null count *)
+  | Min of compiled * Row.rval array  (* null until the first value *)
+  | Max of compiled * Row.rval array
+
+let accumulate acc gid row =
+  match acc with
+  | Count_rows n -> n.(gid) <- n.(gid) + 1
+  | Count (f, n) -> if is_bound (f row) then n.(gid) <- n.(gid) + 1
+  | Sum (f, s) -> begin
+    match f row with
+    | Row.Prim Value.Null -> ()
+    | Row.Prim p -> s.(gid) <- Value.add s.(gid) p
+    | Row.V _ | Row.E _ -> invalid_arg "SUM over a graph entity"
+  end
+  | Avg (f, total, n) -> begin
+    match f row with
+    | Row.Prim Value.Null -> ()
+    | Row.Prim p ->
+      (match Value.to_float p with Some x -> total.(gid) <- total.(gid) +. x | None -> ());
+      n.(gid) <- n.(gid) + 1
+    | Row.V _ | Row.E _ -> invalid_arg "AVG over a graph entity"
+  end
+  (* Only a strictly better value replaces the best so far: the first
+     of equal values wins. *)
+  | Min (f, best) ->
+    let v = f row in
+    if is_bound v && ((not (is_bound best.(gid))) || Row.rval_compare v best.(gid) < 0) then
+      best.(gid) <- v
+  | Max (f, best) ->
+    let v = f row in
+    if is_bound v && ((not (is_bound best.(gid))) || Row.rval_compare v best.(gid) > 0) then
+      best.(gid) <- v
+
+let acc_value acc gid =
+  match acc with
+  | Count_rows n | Count (_, n) -> Row.Prim (Value.Int n.(gid))
+  | Sum (_, s) -> Row.Prim s.(gid)
+  | Avg (_, total, n) ->
+    if n.(gid) = 0 then unbound else Row.Prim (Value.Float (total.(gid) /. float_of_int n.(gid)))
+  | Min (_, best) | Max (_, best) -> best.(gid)
+
+(* An item of an aggregating projection: aggregate calls read their
+   accumulator, any subexpression free of aggregates reads the group's
+   first row (SQL-style, the group key). *)
+type agg_item =
+  | Acc of acc
+  | First of compiled
+  | Agg_binop of Ast.binop * agg_item * agg_item
+  | Agg_neg of agg_item
+
+(* One pass over [rows]: each row finds its group id (first-seen
+   order) and feeds every accumulator. With no GROUP BY all rows form
+   group 0, which exists even over empty input: SQL gives an aggregate
+   exactly one row there (count 0, null avg). *)
+let aggregate g resolve (sb : Ast.select_block) rows =
+  let n_rows = List.length rows in
+  (* Every cell array holds one cell per possible group. *)
+  let cap = if sb.group_by = [] then 1 else Stdlib.max n_rows 1 in
+  let compile = compile_expr g resolve in
+  let accs = ref [] in
+  let acc a =
+    accs := a :: !accs;
+    Acc a
+  in
+  let rec item (e : Ast.expr) =
+    match e with
+    | _ when not (Ast.has_aggregate e) -> First (compile e)
+    | Ast.Count_star -> acc (Count_rows (Array.make cap 0))
+    | Ast.Agg (kind, inner) -> (
+      let f = compile inner in
+      acc
+        (match kind with
+        | Ast.Count -> Count (f, Array.make cap 0)
+        | Ast.Sum -> Sum (f, Array.make cap (Value.Int 0))
+        | Ast.Avg -> Avg (f, Array.make cap 0.0, Array.make cap 0)
+        | Ast.Min -> Min (f, Array.make cap unbound)
+        | Ast.Max -> Max (f, Array.make cap unbound)))
+    | Ast.Binop (op, a, b) ->
+      let a = item a in
+      Agg_binop (op, a, item b)
+    | Ast.Unop (Ast.Neg, inner) -> Agg_neg (item inner)
+    (* NOT over an aggregate: evaluating it raises, as an aggregate
+       does in any non-aggregating position. *)
+    | e -> First (compile e)
+  in
+  let items = Array.of_list (List.map (fun (it : Ast.select_item) -> item it.item_expr) sb.items) in
+  let accs = Array.of_list (List.rev !accs) in
+  let group_of =
+    match sb.group_by with
+    | [] -> fun _ -> 0
+    | exprs ->
+      let key_of = project_with (List.map compile exprs) in
+      let table = key_table n_rows in
+      fun row -> key_id table (key_of row)
+  in
+  let firsts = Array.make cap [||] in
+  let n_groups = ref 0 in
+  List.iter
+    (fun row ->
+      let gid = group_of row in
+      if gid = !n_groups then begin
+        firsts.(gid) <- row;
+        incr n_groups
+      end;
+      Array.iter (fun a -> accumulate a gid row) accs)
+    rows;
+  let rec value gid = function
+    | Acc a -> acc_value a gid
+    | First f -> if gid < !n_groups then f firsts.(gid) else unbound
+    | Agg_binop (op, a, b) ->
+      let va = value gid a in
+      let vb = value gid b in
+      (match op with
+      | Ast.And | Ast.Or -> invalid_arg "Executor: boolean combination of aggregates"
+      | _ -> apply_binop op va vb)
+    | Agg_neg i -> negate (value gid i)
+  in
+  let n_out = if sb.group_by = [] then 1 else !n_groups in
+  List.init n_out (fun gid -> Array.map (value gid) items)
+
+(* Rows in first-seen order, each kept once. *)
+let distinct rows =
+  let t = key_table (List.length rows) in
+  List.filter
+    (fun row ->
+      let n = t.count in
+      key_id t row = n)
+    rows
+
+(* A stable sort on keys computed once per row, so it orders rows
+   exactly as comparing freshly evaluated keys would. A lone row is
+   never compared, so its keys are not evaluated either. *)
+let sort_rows (keys : compiled list) dirs rows =
+  match rows with
+  | [] | [ _ ] -> rows
+  | _ ->
+    let key_of = project_with keys in
+    let desc = Array.of_list (List.map (fun d -> d = Ast.Desc) dirs) in
+    let cmp (ka, _) (kb, _) =
+      let rec go i =
+        if i = Array.length desc then 0
+        else
+          let c = Row.rval_compare ka.(i) kb.(i) in
+          if c <> 0 then if desc.(i) then -c else c else go (i + 1)
+      in
+      go 0
+    in
+    List.map snd (List.stable_sort cmp (List.map (fun row -> (key_of row, row)) rows))
+
+(* The column named [name] in [t] (the first of equal names). *)
+let column (t : Row.table) name =
+  match Row.col_index t name with i -> Some i | exception Not_found -> None
 
 let rec eval_select ?prof ?budget ctx (sb : Ast.select_block) : Row.table =
   let g = ctx.g in
   (* Peel the stage chain Cost.select_plan built — Limit over Sort
      over Distinct over Aggregate/Project over Filter over the source
      — mirroring its construction conditions, so each stage below can
-     record its actual output cardinality on the right node. *)
+     record its actual output cardinality and its time, inclusive of
+     the stages under it, on the right node. *)
   let peel cond n =
     if not cond then (None, n)
     else
@@ -713,125 +890,52 @@ let rec eval_select ?prof ?budget ctx (sb : Ast.select_block) : Row.table =
   let dist_p, n = peel sb.distinct n in
   let proj_p, n = peel true n in
   let filt_p, src_p = peel (sb.s_where <> None) n in
+  let stage node rows =
+    Option.iter
+      (fun n ->
+        Explain.set_actual n (List.length rows);
+        Explain.set_time n (Trace.now_s () -. t_select))
+      node;
+    rows
+  in
   let source =
     match sb.from with
     | Ast.From_match mb -> eval_match ?prof:src_p ?budget ctx mb
     | Ast.From_select inner -> eval_select ?prof:src_p ?budget ctx inner
   in
-  let env_of_row (row : Row.rval array) name =
-    match Row.col_index source name with
-    | i -> row.(i)
-    | exception Not_found -> Row.Prim Value.Null
-  in
+  let resolve = column source in
   let rows =
     match sb.s_where with
     | None -> source.rows
     | Some cond ->
-      let rows = List.filter (fun row -> truthy (eval_expr g (env_of_row row) cond)) source.rows in
-      Option.iter (fun n -> Explain.set_actual n (List.length rows)) filt_p;
-      rows
+      let test = compile_expr g resolve cond in
+      stage filt_p (List.filter (fun row -> truthy (test row)) source.rows)
   in
   let any_agg = List.exists (fun (it : Ast.select_item) -> Ast.has_aggregate it.item_expr) sb.items in
   let cols = Array.of_list (List.mapi Ast.item_name sb.items) in
-  (* ORDER BY / LIMIT run over the projected output (aliases in
-     scope); applied by [finish] below. *)
-  let finish (result : Row.table) =
-    Option.iter (fun n -> Explain.set_actual n (List.length result.Row.rows)) proj_p;
-    let rows = result.Row.rows in
-    (* DISTINCT before ORDER BY / LIMIT, SQL-style. *)
-    let rows =
-      if not sb.Ast.distinct then rows
-      else begin
-        let seen = Hashtbl.create 64 in
-        let rows =
-          List.filter
-            (fun row ->
-              let key = Array.to_list row in
-              if Hashtbl.mem seen key then false
-              else begin
-                Hashtbl.add seen key ();
-                true
-              end)
-            rows
-        in
-        Option.iter (fun n -> Explain.set_actual n (List.length rows)) dist_p;
-        rows
-      end
-    in
-    let rows =
-      if sb.order_by = [] then rows
-      else begin
-        let out_env (row : Row.rval array) name =
-          match Row.col_index result name with
-          | i -> row.(i)
-          | exception Not_found -> Row.Prim Value.Null
-        in
-        let key row = List.map (fun (e, _) -> eval_expr g (out_env row) e) sb.order_by in
-        let dirs = List.map snd sb.order_by in
-        let cmp a b =
-          let rec go ks dirs =
-            match (ks, dirs) with
-            | (ka, kb) :: krest, dir :: drest ->
-              let c = Row.rval_compare ka kb in
-              if c <> 0 then (match dir with Ast.Asc -> c | Ast.Desc -> -c) else go krest drest
-            | _ -> 0
-          in
-          go (List.combine (key a) (key b)) dirs
-        in
-        let rows = List.stable_sort cmp rows in
-        Option.iter (fun n -> Explain.set_actual n (List.length rows)) sort_p;
-        rows
-      end
-    in
-    let rows =
-      match sb.limit with
-      | Some n ->
-        let rec take k = function [] -> [] | x :: rest when k > 0 -> x :: take (k - 1) rest | _ -> [] in
-        let rows = take n rows in
-        Option.iter (fun n -> Explain.set_actual n (List.length rows)) limit_p;
-        rows
-      | None -> rows
-    in
-    Option.iter (fun (n : Explain.node) -> Explain.set_time n (Trace.now_s () -. t_select)) prof;
-    { result with Row.rows }
+  let rows =
+    stage proj_p
+      (if sb.group_by = [] && not any_agg then List.map (project_items g resolve sb.items) rows
+       else aggregate g resolve sb rows)
   in
-  if sb.group_by = [] && not any_agg then begin
-    let project row =
-      Array.of_list
-        (List.map (fun (it : Ast.select_item) -> eval_expr g (env_of_row row) it.item_expr) sb.items)
-    in
-    finish { Row.cols; rows = List.map project rows }
-  end
-  else begin
-    (* Hash grouping on the GROUP BY key (all rows in one group when
-       the key list is empty). *)
-    let groups : (Row.rval list, Row.rval array list) Hashtbl.t = Hashtbl.create 64 in
-    let order = ref [] in
-    (* SQL semantics: an aggregate with no GROUP BY always produces
-       exactly one row, even over empty input (count 0, null avg). *)
-    if sb.group_by = [] then begin
-      order := [ [] ];
-      Hashtbl.add groups [] []
-    end;
-    List.iter
-      (fun row ->
-        let key = List.map (fun e -> eval_expr g (env_of_row row) e) sb.group_by in
-        (match Hashtbl.find_opt groups key with
-        | Some existing -> Hashtbl.replace groups key (row :: existing)
-        | None ->
-          order := key :: !order;
-          Hashtbl.add groups key [ row ]))
-      rows;
-    let result_rows =
-      List.rev_map
-        (fun key ->
-          let members = List.rev (Hashtbl.find groups key) in
-          Array.of_list
-            (List.map (fun (it : Ast.select_item) -> eval_agg g members env_of_row it.item_expr) sb.items))
-        !order
-    in
-    finish { Row.cols; rows = result_rows }
-  end
+  (* DISTINCT before ORDER BY / LIMIT, SQL-style; ORDER BY sees the
+     projected output (aliases in scope). *)
+  let rows = if sb.distinct then stage dist_p (distinct rows) else rows in
+  let rows =
+    if sb.order_by = [] then rows
+    else
+      let resolve = column { Row.cols; rows = [] } in
+      let keys = List.map (fun (e, _) -> compile_expr g resolve e) sb.order_by in
+      stage sort_p (sort_rows keys (List.map snd sb.order_by) rows)
+  in
+  let rows =
+    match sb.limit with
+    | Some n ->
+      let rec take k = function [] -> [] | x :: rest when k > 0 -> x :: take (k - 1) rest | _ -> [] in
+      stage limit_p (take n rows)
+    | None -> rows
+  in
+  { Row.cols; rows }
 
 (* ------------------------------------------------------------------ *)
 (* CALL procedures                                                     *)

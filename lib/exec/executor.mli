@@ -84,7 +84,9 @@ val run_explained :
   result * Kaskade_obs.Explain.node
 (** {!run} plus the plan of {!explain}. With [profile] (default
     false), the executor additionally fills each operator's actual
-    output rows and per-pattern wall time into the returned tree.
+    output rows and wall time into the returned tree: per pattern, per
+    MATCH filter and per SELECT stage (filter, aggregate or project,
+    distinct, sort, limit).
     Profiling only observes — the result is identical to {!run}
     (property tested in [test_obs]). Within a pattern the scan/expand
     operators are fused into one pipeline: they report actual rows

@@ -451,6 +451,262 @@ let test_select_distinct () =
   | _ -> Alcotest.fail "shape"
 
 (* ------------------------------------------------------------------ *)
+(* SELECT operators against a member-list oracle                       *)
+
+(* The reference semantics of the SELECT stages, written the slow and
+   obvious way: names are looked up per row, grouping keeps every
+   group's member rows in a [Hashtbl] keyed by the key list, each
+   aggregate re-walks its group's members, and ORDER BY re-evaluates
+   both keys on every comparison. The executor must return the same
+   rows in the same order. *)
+module Oracle = struct
+  module Ast = Kaskade_query.Ast
+
+  let null = Row.Prim Value.Null
+  let truthy = function Row.Prim v -> Value.is_truthy v | Row.V _ | Row.E _ -> true
+
+  let arith op va vb =
+    let prim f =
+      match (va, vb) with
+      | Row.Prim x, Row.Prim y -> Row.Prim (f x y)
+      | _ -> invalid_arg "arithmetic on a graph entity"
+    in
+    match op with
+    | Ast.Add -> prim Value.add
+    | Ast.Sub -> prim Value.sub
+    | Ast.Mul -> prim Value.mul
+    | Ast.Div -> prim Value.div
+    | Ast.Eq -> Row.Prim (Value.Bool (Row.rval_equal va vb))
+    | Ast.Ne -> Row.Prim (Value.Bool (not (Row.rval_equal va vb)))
+    | Ast.Lt -> Row.Prim (Value.Bool (Row.rval_compare va vb < 0))
+    | Ast.Le -> Row.Prim (Value.Bool (Row.rval_compare va vb <= 0))
+    | Ast.Gt -> Row.Prim (Value.Bool (Row.rval_compare va vb > 0))
+    | Ast.Ge -> Row.Prim (Value.Bool (Row.rval_compare va vb >= 0))
+    | Ast.And -> Row.Prim (Value.Bool (truthy va && truthy vb))
+    | Ast.Or -> Row.Prim (Value.Bool (truthy va || truthy vb))
+
+  let neg = function
+    | Row.Prim (Value.Int n) -> Row.Prim (Value.Int (-n))
+    | Row.Prim (Value.Float f) -> Row.Prim (Value.Float (-.f))
+    | _ -> null
+
+  let rec eval g env (e : Ast.expr) =
+    match e with
+    | Ast.Var v -> env v
+    | Ast.Prop (v, p) -> begin
+      match env v with
+      | Row.V vid -> Row.Prim (Graph.vprop_or_null g vid p)
+      | Row.E eid -> Row.Prim (Graph.eprop_or_null g eid p)
+      | Row.Prim _ -> null
+    end
+    | Ast.Lit v -> Row.Prim v
+    | Ast.Unop (Ast.Neg, e) -> neg (eval g env e)
+    | Ast.Unop (Ast.Not, e) -> begin
+      match eval g env e with
+      | Row.Prim v -> Row.Prim (Value.Bool (not (Value.is_truthy v)))
+      | _ -> Row.Prim (Value.Bool false)
+    end
+    | Ast.Binop (op, a, b) ->
+      let va = eval g env a in
+      arith op va (eval g env b)
+    | Ast.Agg _ | Ast.Count_star -> invalid_arg "aggregate in a non-aggregating position"
+
+  let rec eval_agg g rows env_of_row (e : Ast.expr) =
+    match e with
+    | Ast.Count_star -> Row.Prim (Value.Int (List.length rows))
+    | Ast.Agg (kind, inner) -> begin
+      let values =
+        List.filter_map
+          (fun row ->
+            match eval g (env_of_row row) inner with Row.Prim Value.Null -> None | v -> Some v)
+          rows
+      in
+      let prim = function Row.Prim p -> p | _ -> invalid_arg "aggregate over a graph entity" in
+      match (kind, values) with
+      | Ast.Count, _ -> Row.Prim (Value.Int (List.length values))
+      | Ast.Sum, _ ->
+        Row.Prim (List.fold_left (fun acc v -> Value.add acc (prim v)) (Value.Int 0) values)
+      | (Ast.Avg | Ast.Min | Ast.Max), [] -> null
+      | Ast.Avg, _ ->
+        let total =
+          List.fold_left
+            (fun acc v -> match Value.to_float (prim v) with Some f -> acc +. f | None -> acc)
+            0.0 values
+        in
+        Row.Prim (Value.Float (total /. float_of_int (List.length values)))
+      | Ast.Min, first :: rest ->
+        List.fold_left (fun acc v -> if Row.rval_compare v acc < 0 then v else acc) first rest
+      | Ast.Max, first :: rest ->
+        List.fold_left (fun acc v -> if Row.rval_compare v acc > 0 then v else acc) first rest
+    end
+    | Ast.Binop (op, a, b) when Ast.has_aggregate e -> begin
+      let va = eval_agg g rows env_of_row a in
+      let vb = eval_agg g rows env_of_row b in
+      match op with
+      | Ast.And | Ast.Or -> invalid_arg "boolean combination of aggregates"
+      | _ -> arith op va vb
+    end
+    | Ast.Unop (Ast.Neg, inner) when Ast.has_aggregate e -> neg (eval_agg g rows env_of_row inner)
+    | _ -> begin match rows with [] -> null | row :: _ -> eval g (env_of_row row) e end
+
+  let env (t : Row.table) (row : Row.rval array) name =
+    match Row.col_index t name with i -> row.(i) | exception Not_found -> null
+
+  let select g (sb : Ast.select_block) (source : Row.table) : Row.table =
+    let rows =
+      match sb.s_where with
+      | None -> source.rows
+      | Some c -> List.filter (fun row -> truthy (eval g (env source row) c)) source.rows
+    in
+    let cols = Array.of_list (List.mapi Ast.item_name sb.items) in
+    let any_agg = List.exists (fun (it : Ast.select_item) -> Ast.has_aggregate it.item_expr) sb.items in
+    let rows =
+      if sb.group_by = [] && not any_agg then
+        List.map
+          (fun row ->
+            Array.of_list (List.map (fun (it : Ast.select_item) -> eval g (env source row) it.item_expr) sb.items))
+          rows
+      else begin
+        let groups = Hashtbl.create 64 in
+        let order = ref [] in
+        if sb.group_by = [] then begin
+          order := [ [] ];
+          Hashtbl.add groups [] []
+        end;
+        List.iter
+          (fun row ->
+            let key = List.map (fun e -> eval g (env source row) e) sb.group_by in
+            match Hashtbl.find_opt groups key with
+            | Some members -> Hashtbl.replace groups key (row :: members)
+            | None ->
+              order := key :: !order;
+              Hashtbl.add groups key [ row ])
+          rows;
+        List.rev_map
+          (fun key ->
+            let members = List.rev (Hashtbl.find groups key) in
+            Array.of_list
+              (List.map (fun (it : Ast.select_item) -> eval_agg g members (env source) it.item_expr) sb.items))
+          !order
+      end
+    in
+    let rows =
+      if not sb.distinct then rows
+      else begin
+        let seen = Hashtbl.create 64 in
+        List.filter
+          (fun row ->
+            let key = Array.to_list row in
+            (not (Hashtbl.mem seen key)) && (Hashtbl.add seen key (); true))
+          rows
+      end
+    in
+    let out = { Row.cols; rows = [] } in
+    let rows =
+      let key row = List.map (fun (e, _) -> eval g (env out row) e) sb.order_by in
+      let cmp a b =
+        let rec go = function
+          | ((ka, kb), dir) :: rest ->
+            let c = Row.rval_compare ka kb in
+            if c <> 0 then (match dir with Ast.Asc -> c | Ast.Desc -> -c) else go rest
+          | [] -> 0
+        in
+        go (List.combine (List.combine (key a) (key b)) (List.map snd sb.order_by))
+      in
+      if sb.order_by = [] then rows else List.stable_sort cmp rows
+    in
+    let rows = match sb.limit with Some n -> List.filteri (fun i _ -> i < n) rows | None -> rows in
+    { Row.cols; rows }
+end
+
+(* A small lineage graph whose properties exercise the aggregates:
+   CPU is Int or Float with ties across the two (2 and 2.0) or
+   missing, [w] mixes numbers, strings and a boolean, and names are
+   strings on every Job and File. *)
+let mixed_lineage seed =
+  let rng = Kaskade_util.Prng.create seed in
+  let pick a = a.(Kaskade_util.Prng.int rng (Array.length a)) in
+  let b = Builder.create lineage_schema in
+  let cpus = [| Some (Value.Int 1); Some (Value.Int 2); Some (Value.Float 2.0); Some (Value.Float 0.5); None |] in
+  let ws =
+    [| Some (Value.Int 1); Some (Value.Int 2); Some (Value.Float 2.0); Some (Value.Float 0.5);
+       Some (Value.Str "x"); Some (Value.Str "y"); Some (Value.Bool true); None |]
+  in
+  let opt k = function Some v -> [ (k, v) ] | None -> [] in
+  let jobs =
+    Array.init (3 + Kaskade_util.Prng.int rng 5) (fun _ ->
+        Builder.add_vertex b ~vtype:"Job"
+          ~props:
+            ([ ("name", Value.Str (Printf.sprintf "j%d" (Kaskade_util.Prng.int rng 4)));
+               ("pipelineName", Value.Str (pick [| "p0"; "p1" |])) ]
+            @ opt "CPU" (pick cpus) @ opt "w" (pick ws))
+          ())
+  in
+  let files =
+    Array.init (2 + Kaskade_util.Prng.int rng 4) (fun i ->
+        Builder.add_vertex b ~vtype:"File"
+          ~props:(("name", Value.Str (Printf.sprintf "f%d" (i mod 3))) :: opt "w" (pick ws))
+          ())
+  in
+  let user = Builder.add_vertex b ~vtype:"User" ~props:[ ("name", Value.Str "u") ] () in
+  let edge s d t = ignore (Builder.add_edge b ~src:s ~dst:d ~etype:t ()) in
+  Array.iter
+    (fun j ->
+      Array.iter
+        (fun f ->
+          if Kaskade_util.Prng.int rng 3 = 0 then edge j f "WRITES_TO";
+          if Kaskade_util.Prng.int rng 3 = 0 then edge f j "IS_READ_BY")
+        files;
+      if Kaskade_util.Prng.int rng 2 = 0 then edge user j "SUBMITTED")
+    jobs;
+  Graph.freeze b
+
+let select_sources =
+  [| "MATCH (a:Job)-[r:WRITES_TO]->(b:File) RETURN a, b, r";
+     (* Untyped endpoints: CPU is null off Job. *)
+     "MATCH (a)-[r]->(b) RETURN a, b, r";
+     "MATCH (a:Job)-[r*1..3]->(b) RETURN a, b, r";
+     (* Matches nothing. *)
+     "MATCH (a:Job)-[r:WRITES_TO]->(b:File) WHERE a.CPU > 1000 RETURN a, b, r" |]
+
+let select_items =
+  [| "a"; "b"; "a.pipelineName"; "b.w"; "COUNT(*)"; "COUNT(a.CPU)"; "COUNT(b.w)"; "SUM(a.CPU)";
+     "AVG(a.CPU)"; "AVG(b.w)"; "MIN(a.CPU)"; "MAX(a.CPU)"; "MIN(b.w)"; "MAX(b.w)"; "MIN(a.name)";
+     "MAX(b.name)"; "SUM(a.CPU) + 1"; "-MAX(a.CPU)"; "MAX(r)" |]
+
+let gen_select_text =
+  let open QCheck.Gen in
+  let* source = oneofa select_sources in
+  let* where = oneofl [ ""; " WHERE a.CPU > 1"; " WHERE b.w = 2" ] in
+  let* group_by = oneofl [ []; [ "a" ]; [ "a"; "b" ]; [ "a.pipelineName" ]; [ "b.w" ] ] in
+  let* items = list_size (1 -- 4) (oneofa select_items) in
+  let* distinct = bool in
+  let aliases = List.mapi (fun i _ -> Printf.sprintf "c%d" i) items in
+  let* order_by = list_size (0 -- 2) (pair (oneofl aliases) (oneofl [ " ASC"; " DESC" ])) in
+  let+ limit = opt (0 -- 5) in
+  Printf.sprintf "SELECT %s%s FROM (%s)%s%s%s%s" (if distinct then "DISTINCT " else "")
+    (String.concat ", " (List.map2 (fun e a -> e ^ " AS " ^ a) items aliases))
+    source where
+    (if group_by = [] then "" else " GROUP BY " ^ String.concat ", " group_by)
+    (if order_by = [] then ""
+     else " ORDER BY " ^ String.concat ", " (List.map (fun (a, d) -> a ^ d) order_by))
+    (match limit with Some n -> Printf.sprintf " LIMIT %d" n | None -> "")
+
+let prop_select_matches_oracle =
+  QCheck.Test.make ~name:"SELECT operators = member-list oracle" ~count:300
+    QCheck.(pair (make ~print:Fun.id gen_select_text) (0 -- 1000))
+    (fun (text, seed) ->
+      let g = mixed_lineage seed in
+      let ctx = Executor.create g in
+      match Kaskade_query.Qparser.parse text with
+      | Kaskade_query.Ast.Select ({ from = Kaskade_query.Ast.From_match mb; _ } as sb) ->
+        let source = Executor.table_exn (Executor.run ctx (Kaskade_query.Ast.Match_only mb)) in
+        let expected = Oracle.select g sb source in
+        let got = Executor.table_exn (Executor.run ctx (Kaskade_query.Ast.Select sb)) in
+        got.Row.cols = expected.Row.cols && Stdlib.compare got.Row.rows expected.Row.rows = 0
+      | _ -> QCheck.Test.fail_report "not a SELECT over a MATCH")
+
+(* ------------------------------------------------------------------ *)
 (* CALL procedures                                                     *)
 
 let test_call_label_propagation () =
@@ -783,6 +1039,7 @@ let () =
           Alcotest.test_case "index probe" `Quick test_index_probe_scan;
           Alcotest.test_case "select distinct" `Quick test_select_distinct;
           QCheck_alcotest.to_alcotest prop_index_probe_equivalent;
+          QCheck_alcotest.to_alcotest prop_select_matches_oracle;
         ] );
       ( "call",
         [

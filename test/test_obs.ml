@@ -203,6 +203,33 @@ let test_profile_identical_results () =
       check_bool ("root has wall time: " ^ src) true (plan.Explain.time_s <> None))
     profile_queries
 
+(* Every SELECT stage is timed, and times are inclusive: no operator
+   reports less than its children together. *)
+let test_profile_select_stages_timed () =
+  let g = Lazy.force prov in
+  let ctx = Executor.create ~planner:true g in
+  List.iter
+    (fun (src, ops) ->
+      let _, plan = Executor.run_explained ~profile:true ctx (Qparser.parse src) in
+      List.iter
+        (fun op ->
+          match Explain.find (fun n -> n.Explain.op = op) plan with
+          | Some n -> check_bool (op ^ " carries a time: " ^ src) true (n.Explain.time_s <> None)
+          | None -> Alcotest.failf "no %s operator in the plan of %s" op src)
+        ops;
+      Explain.iter
+        (fun n ->
+          let time n = Option.value n.Explain.time_s ~default:0.0 in
+          let children = List.fold_left (fun acc c -> acc +. time c) 0.0 n.Explain.children in
+          if time n +. 1e-9 < children then
+            Alcotest.failf "%s reports %.6fs, below its children's %.6fs" n.Explain.op (time n)
+              children)
+        plan)
+    [ ( "SELECT DISTINCT s, MAX(r) AS m FROM (MATCH (s:Job)-[r*1..3]->(n) WHERE s.CPU > 10 RETURN s, n, r) \
+         WHERE r > 1 GROUP BY s, n ORDER BY s LIMIT 3",
+        [ "Limit"; "Sort"; "Distinct"; "Aggregate"; "Filter"; "Match" ] );
+      ("SELECT s.name FROM (MATCH (s:Job) RETURN s) WHERE s.CPU > 100", [ "Project"; "Filter" ]) ]
+
 let test_kaskade_profile_identity () =
   let g = Lazy.force prov in
   let ks = Kaskade.make g in
@@ -916,7 +943,8 @@ let () =
             test_explain_has_estimates_no_actuals ] );
       ( "profile",
         [ Alcotest.test_case "identical results" `Quick test_profile_identical_results;
-          Alcotest.test_case "kaskade profile identity" `Quick test_kaskade_profile_identity ] );
+          Alcotest.test_case "kaskade profile identity" `Quick test_kaskade_profile_identity;
+          Alcotest.test_case "select stages timed" `Quick test_profile_select_stages_timed ] );
       ( "qlog",
         [ Alcotest.test_case "ring wraparound" `Quick test_qlog_ring_wraparound;
           Alcotest.test_case "jsonl round-trip" `Quick test_qlog_jsonl_roundtrip;
