@@ -263,18 +263,10 @@ let catalog () =
   let views =
     [ View.Connector (View.K_hop { src_type = "Job"; dst_type = "Job"; k = 2 });
       View.Connector (View.K_hop { src_type = "File"; dst_type = "File"; k = 2 });
-      View.Connector (View.Same_vertex_type { vtype = "Job" });
-      View.Connector (View.Same_edge_type { etype = "WRITES_TO" });
-      View.Connector View.Source_to_sink;
       View.Summarizer (View.Vertex_inclusion [ "Job"; "File" ]);
       View.Summarizer (View.Vertex_removal [ "Task"; "Machine" ]);
       View.Summarizer (View.Edge_inclusion [ "WRITES_TO"; "IS_READ_BY" ]);
-      View.Summarizer (View.Edge_removal [ "SUBMITTED" ]);
-      View.Summarizer
-        (View.Vertex_aggregator
-           { vtype = "Job"; group_prop = "pipelineName"; agg_prop = "CPU"; agg = View.Agg_sum });
-      View.Summarizer (View.Subgraph_aggregator { agg_prop = "CPU"; agg = View.Agg_sum });
-      View.Summarizer (View.Ego_aggregator { k = 2; agg_prop = "CPU"; agg = View.Agg_sum }) ]
+      View.Summarizer (View.Edge_removal [ "SUBMITTED" ]) ]
   in
   let rows =
     List.map
@@ -624,12 +616,8 @@ let microbench () =
 
 let maintenance () =
   header "Maintenance: incremental view refresh vs full rebuild across update batch sizes";
-  (* Each view kind runs on the dataset where its maintenance problem
-     is representative: connectors on the heterogeneous provenance
-     graph (the paper's motivating workload), ego aggregates on the
-     sparse road network, where a k-hop neighbourhood is a local
-     object (on dense graphs the affected region approaches the whole
-     graph and incrementality degenerates by construction). *)
+  (* The connector runs on the heterogeneous provenance graph, the
+     paper's motivating workload. *)
   let prov =
     let raw =
       Kaskade_gen.Provenance_gen.(
@@ -639,14 +627,10 @@ let maintenance () =
        (View.Summarizer (View.Vertex_inclusion Kaskade_gen.Provenance_gen.summarized_types)))
       .Materialize.graph
   in
-  let road = Kaskade_gen.Road_gen.(generate (scaled ~edges:150_000 ~seed:5)) in
   let scenarios =
     [ ( "connector k=2 (prov)",
         prov,
-        View.Connector (View.K_hop { src_type = "Job"; dst_type = "Job"; k = 2 }) );
-      ( "ego count(name) k=2 (road)",
-        road,
-        View.Summarizer (View.Ego_aggregator { k = 2; agg_prop = "name"; agg = View.Agg_count }) ) ]
+        View.Connector (View.K_hop { src_type = "Job"; dst_type = "Job"; k = 2 }) ) ]
   in
   List.iter
     (fun (label, g, _) ->

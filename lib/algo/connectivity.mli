@@ -1,6 +1,5 @@
-(** Connectivity helpers: weakly-connected components, and the
-    source/sink classification used by the paper's source-to-sink
-    connector (Table I). *)
+(** Connectivity helpers: weakly-connected components, and
+    source/sink classification. *)
 
 val components : Kaskade_graph.Graph.t -> Kaskade_util.Union_find.t
 (** Weakly-connected components (edges treated as undirected). *)

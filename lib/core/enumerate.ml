@@ -92,6 +92,11 @@ let all_edges_labeled summary =
   summary.Kaskade_query.Analyze.var_length_paths = []
   && List.for_all (fun (_, _, et) -> et <> None) summary.Kaskade_query.Analyze.edges
 
+let copies_input schema ~src_type ~dst_type =
+  match Kaskade_graph.Schema.edge_defs schema with
+  | [ d ] -> d.Kaskade_graph.Schema.src = src_type && d.Kaskade_graph.Schema.dst = dst_type
+  | _ -> false
+
 let enumerate ?budget schema query =
   Trace.with_span "enumerate" @@ fun () ->
   Budget.check budget Budget.Enumerate;
@@ -103,33 +108,17 @@ let enumerate ?budget schema query =
   budgeted ?budget eng @@ fun () ->
   let out = ref [] in
   let push view bridges = out := { view; bridges } :: !out in
-  (* K-hop connectors (including the same-vertex-type special case). *)
+  (* K-hop connectors (including the same-vertex-type special case),
+     except a 1-hop connector over the schema's only edge type: it is
+     a deduplicated copy of its input. *)
   List.iter
     (fun sol ->
       let x = atom_exn (List.assoc "X" sol) and y = atom_exn (List.assoc "Y" sol) in
       let xt = atom_exn (List.assoc "XTYPE" sol) and yt = atom_exn (List.assoc "YTYPE" sol) in
       let k = int_exn (List.assoc "K" sol) in
-      push (View.Connector (View.K_hop { src_type = xt; dst_type = yt; k })) (Some (x, y)))
+      if not (k = 1 && copies_input schema ~src_type:xt ~dst_type:yt) then
+        push (View.Connector (View.K_hop { src_type = xt; dst_type = yt; k })) (Some (x, y)))
     (Engine.all_solutions eng "kHopConnector(X, Y, XTYPE, YTYPE, K)");
-  (* Variable-length same-vertex-type connectors. *)
-  List.iter
-    (fun sol ->
-      let x = atom_exn (List.assoc "X" sol) and y = atom_exn (List.assoc "Y" sol) in
-      let vt = atom_exn (List.assoc "VTYPE" sol) in
-      push (View.Connector (View.Same_vertex_type { vtype = vt })) (Some (x, y)))
-    (Engine.all_solutions eng "connectorSameVertexType(X, Y, VTYPE)");
-  (* Source-to-sink connectors. *)
-  List.iter
-    (fun sol ->
-      let x = atom_exn (List.assoc "X" sol) and y = atom_exn (List.assoc "Y" sol) in
-      push (View.Connector View.Source_to_sink) (Some (x, y)))
-    (Engine.all_solutions eng "sourceToSinkConnector(X, Y)");
-  (* Same-edge-type connectors. *)
-  List.iter
-    (fun sol ->
-      let et = atom_exn (List.assoc "ETYPE" sol) in
-      push (View.Connector (View.Same_edge_type { etype = et })) None)
-    (Engine.all_solutions eng "sameEdgeTypeConnector(ETYPE)");
   (* Vertex-inclusion summarizer. The Prolog template proposes the
      types the query *mentions*; variable-length segments also
      traverse intermediate types, so close the set under schema-walk
@@ -180,10 +169,4 @@ let enumerate_unconstrained ?budget schema ~max_k =
         :: !out)
     (Engine.all_solutions eng
        (Printf.sprintf "kHopConnectorNoQuery(XTYPE, YTYPE, %d, K)" max_k));
-  List.iter
-    (fun sol ->
-      let vt = atom_exn (List.assoc "VTYPE" sol) in
-      out :=
-        { view = View.Connector (View.Same_vertex_type { vtype = vt }); bridges = None } :: !out)
-    (Engine.all_solutions eng "connectorSameVertexTypeNoQuery(VTYPE)");
   observed { candidates = dedupe (List.rev !out); inference_steps = Engine.steps eng; facts }

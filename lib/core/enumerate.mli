@@ -20,7 +20,9 @@ type enumeration = {
 
 val enumerate :
   ?budget:Kaskade_util.Budget.t -> Kaskade_graph.Schema.t -> Kaskade_query.Ast.t -> enumeration
-(** Constraint-based enumeration for one query.
+(** Constraint-based enumeration for one query. A 1-hop connector is
+    not proposed when the schema's only edge type runs between its
+    endpoint types: that view is a deduplicated copy of the graph.
 
     [budget] bounds the Prolog engine: its remaining step allowance
     becomes the engine's step limit and the engine's periodic

@@ -56,30 +56,8 @@ let typed_chain stats schema ~src_type ~dst_type ~k ~alpha =
     in
     n_src *. walk src_ty k
 
-let connector_size stats schema ~alpha = function
-  | View.K_hop { src_type; dst_type; k } -> typed_chain stats schema ~src_type ~dst_type ~k ~alpha
-  | View.Same_vertex_type { vtype } -> begin
-    (* Transitive closure upper bound: n_t^2 pairs. *)
-    match Schema.vertex_type_id schema vtype with
-    | ty ->
-      let n = float_of_int (Gstats.summary_of_type stats ty).count in
-      n *. n
-    | exception Not_found -> 0.0
-  end
-  | View.Same_edge_type { etype } -> begin
-    match Schema.edge_type_id schema etype with
-    | etid ->
-      let src = Schema.edge_src schema etid in
-      let n = float_of_int (Gstats.summary_of_type stats src).count in
-      let deg = float_of_int (Gstats.out_degree_percentile stats ~vtype:src ~alpha) in
-      if Schema.edge_src schema etid = Schema.edge_dst schema etid then n *. n else n *. deg
-    | exception Not_found -> 0.0
-  end
-  | View.Source_to_sink ->
-    (* Sources times sinks upper bound is wildly loose; approximate by
-       total vertices times the alpha-percentile degree. *)
-    float_of_int (Gstats.total_vertices stats)
-    *. float_of_int (Gstats.global_out_degree_percentile stats ~alpha)
+let connector_size stats schema ~alpha (View.K_hop { src_type; dst_type; k }) =
+  typed_chain stats schema ~src_type ~dst_type ~k ~alpha
 
 let rec summarizer_size stats schema = function
   | View.Vertex_inclusion keep ->
@@ -101,8 +79,6 @@ let rec summarizer_size stats schema = function
     summarizer_size_aux stats schema keep
   | View.Edge_inclusion _ | View.Edge_removal _ ->
     (* Bounded by the graph's edge count. *)
-    float_of_int (Gstats.total_edges stats)
-  | View.Vertex_aggregator _ | View.Subgraph_aggregator _ | View.Ego_aggregator _ ->
     float_of_int (Gstats.total_edges stats)
 
 and summarizer_size_aux stats schema keep =

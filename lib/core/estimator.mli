@@ -39,8 +39,7 @@ val typed_chain :
 
 val connector_size :
   Kaskade_graph.Gstats.t -> Kaskade_graph.Schema.t -> alpha:float -> Kaskade_views.View.connector -> float
-(** Estimated edge count of a connector view ({!typed_chain} for
-    k-hop; conservative closures for the path-based connectors). *)
+(** Estimated edge count of a k-hop connector view ({!typed_chain}). *)
 
 val creation_cost :
   Kaskade_graph.Gstats.t -> Kaskade_graph.Schema.t -> alpha:float -> Kaskade_views.View.t -> float

@@ -193,8 +193,8 @@ val parse_result : string -> (Kaskade_query.Ast.t, Error.t) result
 type refresh_outcome = {
   refreshed_view : string;
   refresh_strategy : Kaskade_views.Maintain.strategy;
-      (** How the refresh was performed (delta, ego recompute, or
-          flagged full rebuild). *)
+      (** How the refresh was performed (delta or flagged full
+          rebuild). *)
   refresh_ops : int;  (** Ops absorbed by this refresh. *)
   refresh_seconds : float;
 }

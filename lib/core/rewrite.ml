@@ -198,8 +198,8 @@ let contract_chain schema summary mb (chain : Ast.pattern) ~src_type ~dst_type ~
           match direction_of i j with
           | Some dir when type_ok i j dir && interior_free i j -> begin
             let lo, hi = hop_range i j in
-            (* Unbounded segments are transitive-closure territory
-               (Same_vertex_type connectors), not k-hop contraction. *)
+            (* Unbounded segments are transitive closures, which no
+               k-hop contraction answers. *)
             if hi > 64 then ()
             else
             let feasible =
@@ -428,8 +428,3 @@ let rewrite schema query (view : View.t) =
         ~kept_edges
     then Some { original = query; rewritten = query; view }
     else None
-  | View.Connector (View.Same_vertex_type _ | View.Same_edge_type _ | View.Source_to_sink)
-  | View.Summarizer (View.Vertex_aggregator _ | View.Subgraph_aggregator _ | View.Ego_aggregator _) ->
-    (* Rewritings over these views are not mechanized (the paper's
-       experiments only rewrite over k-hop connectors and filters). *)
-    None

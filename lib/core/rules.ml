@@ -31,13 +31,6 @@ schemaKHopPathUpTo(X, Y, MaxK, K) :-
   schemaVertex(X), schemaVertex(Y),
   between(1, MaxK, K), schemaKHopPath(X, Y, K).
 
-% Does any directed path exist between two schema types?
-schemaPath(X, Y) :- schemaPathTrail(X, Y, [X]).
-schemaPathTrail(X, Y, _) :- schemaEdge(X, Y, _).
-schemaPathTrail(X, Y, Trail) :-
-  schemaEdge(X, Z, _), not(member(Z, Trail)),
-  schemaPathTrail(Z, Y, [Z|Trail]).
-
 % =====================================================================
 % Query constraint mining rules (paper Listing 6).
 % =====================================================================
@@ -59,17 +52,6 @@ queryKHopPathT(X, Y, K, Trail) :-
 queryKHopPathT(X, Y, K, Trail) :-
   queryKHopVariableLengthPath(X, Z, K2), not(member(Z, Trail)),
   queryKHopPathT(Z, Y, K1, [Z|Trail]), K is K1 + K2.
-
-% Existence of any path between query vertices.
-queryPath(X, Y) :- queryPathTrail(X, Y, [X]).
-queryPathTrail(X, Y, _) :- queryEdge(X, Y).
-queryPathTrail(X, Y, _) :- queryVariableLengthPath(X, Y, _, _).
-queryPathTrail(X, Y, Trail) :-
-  queryEdge(X, Z), not(member(Z, Trail)),
-  queryPathTrail(Z, Y, [Z|Trail]).
-queryPathTrail(X, Y, Trail) :-
-  queryVariableLengthPath(X, Z, _, _), not(member(Z, Trail)),
-  queryPathTrail(Z, Y, [Z|Trail]).
 
 % Query-graph degrees, sources and sinks (single edges and
 % variable-length segments both count as incident).
@@ -114,37 +96,6 @@ kHopConnector(X, Y, XTYPE, YTYPE, K) :-
   % schema constraints
   schemaKHopPath(XTYPE, YTYPE, K).
 
-% K-hop connector where both endpoints share a vertex type.
-kHopConnectorSameVertexType(X, Y, VTYPE, K) :-
-  kHopConnector(X, Y, VTYPE, VTYPE, K).
-
-% Variable-length connector between same-type endpoints.
-connectorSameVertexType(X, Y, VTYPE) :-
-  % query constraints
-  queryVertexType(X, VTYPE),
-  queryVertexType(Y, VTYPE),
-  queryReturned(X), queryReturned(Y),
-  queryPath(X, Y),
-  % schema constraints
-  schemaPath(VTYPE, VTYPE).
-
-% Source-to-sink variable-length connector.
-sourceToSinkConnector(X, Y) :-
-  % query constraints
-  queryVertexSource(X),
-  queryVertexSink(Y),
-  queryPath(X, Y),
-  % schema constraints
-  queryVertexType(X, XTYPE),
-  queryVertexType(Y, YTYPE),
-  schemaPath(XTYPE, YTYPE).
-
-% Same-edge-type connector: the query traverses edges of one type
-% whose domain equals its range (so multi-hop paths compose).
-sameEdgeTypeConnector(ETYPE) :-
-  queryEdgeType(_, _, ETYPE),
-  schemaEdge(T, T, ETYPE).
-
 % =====================================================================
 % Summarizer view templates (paper Listing 5, type-level filters).
 % =====================================================================
@@ -152,15 +103,6 @@ sameEdgeTypeConnector(ETYPE) :-
 % Keep exactly the vertex types the query mentions.
 summarizerVertexInclusion(TYPES) :-
   setof(T, X^queryVertexType(X, T), TYPES).
-
-% Drop vertex types the query never touches (with their edges).
-summarizerRemoveVertices(VTYPE_REMOVE) :-
-  schemaVertex(VTYPE_REMOVE),
-  not(queryVertexType(_, VTYPE_REMOVE)).
-
-% Keep exactly the edge types the query mentions.
-summarizerEdgeInclusion(ETYPES) :-
-  setof(E, X^Y^queryEdgeType(X, Y, E), ETYPES).
 
 % Drop edge types the query never traverses explicitly. Only safe when
 % the query has no unlabeled or variable-length edges (which may
@@ -179,8 +121,4 @@ let unconstrained_templates =
 % the M^k space the paper's §IV argues constraint injection avoids.
 kHopConnectorNoQuery(XTYPE, YTYPE, MaxK, K) :-
   schemaKHopPathUpTo(XTYPE, YTYPE, MaxK, K).
-
-connectorSameVertexTypeNoQuery(VTYPE) :-
-  schemaVertex(VTYPE),
-  schemaPath(VTYPE, VTYPE).
 |}

@@ -11,8 +11,7 @@
       therefore forbids revisiting a vertex *type*, which would reject
       the very K in {4, 6, 8, 10} job-to-job connectors its own §IV-B
       example enumerates; the trail-guarded version is still provided
-      as [schemaKHopPathAcyclic/3] and exercised by the enumeration
-      ablation.
+      as [schemaKHopPathAcyclic/3] for comparison with the listing.
     - [queryKHopPath/3] carries a visited-trail so cyclic MATCH
       patterns terminate. On the paper's (acyclic) patterns it derives
       the same facts as Listing 6.

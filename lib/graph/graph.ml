@@ -199,15 +199,6 @@ let splice t ?(new_vertices = [||]) ~keep_eid ~add_edges () =
   in
   of_arrays t.schema ~vtype:vtype' ~e_src ~e_dst ~e_type ~vprops ~eprops
 
-(* Same structure, one vertex property column replaced wholesale. The
-   CSR arrays are shared physically; only the property store is
-   copied. *)
-let with_vprop_column t key values =
-  if Array.length values <> t.n then invalid_arg "Graph.with_vprop_column: length mismatch";
-  let vprops = Props.remap t.vprops Fun.id in
-  Array.iteri (fun v value -> Props.set vprops v key value) values;
-  { t with vprops }
-
 let schema t = t.schema
 let n_vertices t = t.n
 let n_edges t = t.m

@@ -39,13 +39,6 @@ val splice :
     Raises [Invalid_argument] on out-of-range endpoints or type
     ids. *)
 
-val with_vprop_column : t -> string -> Value.t array -> t
-(** A graph sharing this one's entire topology (physically) with
-    vertex property [key] replaced by [values.(v)] for every vertex —
-    how ego-aggregator refreshes update their per-vertex aggregates
-    without re-freezing. [values] must have length [n_vertices];
-    raises [Invalid_argument] otherwise. *)
-
 val schema : t -> Schema.t
 val n_vertices : t -> int
 val n_edges : t -> int

@@ -127,14 +127,6 @@ let add_graph buf g =
   add_props_table buf vprops;
   add_props_table buf eprops
 
-let add_agg buf agg =
-  add_u8 buf
-    (match agg with
-    | Kaskade_views.View.Agg_sum -> 0
-    | Kaskade_views.View.Agg_count -> 1
-    | Kaskade_views.View.Agg_min -> 2
-    | Kaskade_views.View.Agg_max -> 3)
-
 let add_str_list buf l =
   add_u32 buf (List.length l);
   List.iter (add_str buf) l
@@ -147,13 +139,6 @@ let add_view buf v =
     add_str buf src_type;
     add_str buf dst_type;
     add_u32 buf k
-  | Connector (Same_vertex_type { vtype }) ->
-    add_u8 buf 1;
-    add_str buf vtype
-  | Connector (Same_edge_type { etype }) ->
-    add_u8 buf 2;
-    add_str buf etype
-  | Connector Source_to_sink -> add_u8 buf 3
   | Summarizer (Vertex_inclusion l) ->
     add_u8 buf 10;
     add_str_list buf l
@@ -166,21 +151,6 @@ let add_view buf v =
   | Summarizer (Edge_removal l) ->
     add_u8 buf 13;
     add_str_list buf l
-  | Summarizer (Vertex_aggregator { vtype; group_prop; agg_prop; agg }) ->
-    add_u8 buf 14;
-    add_str buf vtype;
-    add_str buf group_prop;
-    add_str buf agg_prop;
-    add_agg buf agg
-  | Summarizer (Subgraph_aggregator { agg_prop; agg }) ->
-    add_u8 buf 15;
-    add_str buf agg_prop;
-    add_agg buf agg
-  | Summarizer (Ego_aggregator { k; agg_prop; agg }) ->
-    add_u8 buf 16;
-    add_u32 buf k;
-    add_str buf agg_prop;
-    add_agg buf agg
 
 (* Reading ----------------------------------------------------------- *)
 
@@ -327,14 +297,6 @@ let graph r =
   let eprops = props_table r in
   Graph.of_arrays sc ~vtype ~e_src ~e_dst ~e_type ~vprops ~eprops
 
-let agg r =
-  match u8 r with
-  | 0 -> Kaskade_views.View.Agg_sum
-  | 1 -> Kaskade_views.View.Agg_count
-  | 2 -> Kaskade_views.View.Agg_min
-  | 3 -> Kaskade_views.View.Agg_max
-  | tag -> corrupt r (Printf.sprintf "unknown aggregate tag %d" tag)
-
 let str_list r =
   let n = u32 r in
   List.init n (fun _ -> str r)
@@ -347,26 +309,10 @@ let view r =
     let dst_type = str r in
     let k = u32 r in
     Connector (K_hop { src_type; dst_type; k })
-  | 1 -> Connector (Same_vertex_type { vtype = str r })
-  | 2 -> Connector (Same_edge_type { etype = str r })
-  | 3 -> Connector Source_to_sink
   | 10 -> Summarizer (Vertex_inclusion (str_list r))
   | 11 -> Summarizer (Vertex_removal (str_list r))
   | 12 -> Summarizer (Edge_inclusion (str_list r))
   | 13 -> Summarizer (Edge_removal (str_list r))
-  | 14 ->
-    let vtype = str r in
-    let group_prop = str r in
-    let agg_prop = str r in
-    let agg = agg r in
-    Summarizer (Vertex_aggregator { vtype; group_prop; agg_prop; agg })
-  | 15 ->
-    let agg_prop = str r in
-    let agg = agg r in
-    Summarizer (Subgraph_aggregator { agg_prop; agg })
-  | 16 ->
-    let k = u32 r in
-    let agg_prop = str r in
-    let agg = agg r in
-    Summarizer (Ego_aggregator { k; agg_prop; agg })
+  (* Tags 1-3 and 14-16 belonged to deleted view kinds. Never reuse
+     them: a snapshot that holds one must decode as corrupt. *)
   | tag -> corrupt r (Printf.sprintf "unknown view tag %d" tag)

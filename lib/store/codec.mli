@@ -91,3 +91,6 @@ val schema : reader -> Kaskade_graph.Schema.t
 val props_table : reader -> Kaskade_graph.Props.t
 val graph : reader -> Kaskade_graph.Graph.t
 val view : reader -> Kaskade_views.View.t
+(** Tag 0 is a k-hop connector and tags 10-13 the four type filters.
+    Any other tag, including the retired 1-3 and 14-16 of deleted view
+    kinds, raises {!Corrupt}; a short read raises [End_of_file]. *)

@@ -1,23 +1,7 @@
-open Kaskade_graph
-
-let defining_query schema (view : View.t) =
+let defining_query (view : View.t) =
   match view with
   | View.Connector (View.K_hop { src_type; dst_type; k }) ->
     Some (Printf.sprintf "MATCH (a:%s)-[r*%d..%d]->(b:%s) RETURN a, b" src_type k k dst_type)
-  | View.Connector (View.Same_vertex_type { vtype }) ->
-    Some (Printf.sprintf "MATCH (a:%s)-[r*1..%d]->(b:%s) RETURN a, b" vtype max_int vtype)
-  | View.Connector (View.Same_edge_type { etype }) -> begin
-    match Schema.edge_type_id schema etype with
-    | etid ->
-      let src = Schema.vertex_type_name schema (Schema.edge_src schema etid) in
-      let dst = Schema.vertex_type_name schema (Schema.edge_dst schema etid) in
-      Some (Printf.sprintf "MATCH (a:%s)-[r:%s*]->(b:%s) RETURN a, b" src etype dst)
-    | exception Not_found -> None
-  end
-  | View.Connector View.Source_to_sink ->
-    (* Needs in-degree/out-degree predicates, which the language does
-       not expose. *)
-    None
   | View.Summarizer (View.Vertex_inclusion types) ->
     (* One scan per kept type; the language has no UNION, so emit the
        per-type scans joined by ';' for callers that execute each. *)
@@ -26,9 +10,7 @@ let defining_query schema (view : View.t) =
     Some
       (String.concat "; "
          (List.map (fun t -> Printf.sprintf "MATCH (a)-[e:%s]->(b) RETURN a, e, b" t) types))
-  | View.Summarizer
-      ( View.Vertex_removal _ | View.Edge_removal _ | View.Vertex_aggregator _
-      | View.Subgraph_aggregator _ | View.Ego_aggregator _ ) ->
-    (* Removals need negation over types; aggregators need grouping
-       into supernodes — both outside the pattern language. *)
+  | View.Summarizer (View.Vertex_removal _ | View.Edge_removal _) ->
+    (* Removals need negation over types, which is outside the pattern
+       language. *)
     None

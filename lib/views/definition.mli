@@ -6,9 +6,9 @@
     checks that evaluating it returns exactly the edge set
     {!Materialize} builds. *)
 
-val defining_query : Kaskade_graph.Schema.t -> View.t -> string option
+val defining_query : View.t -> string option
 (** The query whose result rows are the view's edges (for connectors:
     one row per contracted (src, dst) pair) or vertices (for
-    inclusion summarizers). [None] for views whose definition is not
-    expressible in the query language (aggregators, source-to-sink —
-    these need degree predicates the language does not have). *)
+    inclusion summarizers). [None] for the removal summarizers, whose
+    definition needs negation over types, which the query language
+    does not have. *)

@@ -1,6 +1,5 @@
 open Kaskade_graph
 module Budget = Kaskade_util.Budget
-module Pool = Kaskade_util.Pool
 module Scratch = Kaskade_util.Scratch
 module Int_vec = Kaskade_util.Int_vec
 module Overlay = Graph.Overlay
@@ -10,7 +9,6 @@ type delta = { added : (int * int) list; removed : (int * int) list }
 type strategy =
   | Connector_delta of delta
   | Filter_delta of { kept_inserts : int; kept_deletes : int }
-  | Ego_recompute of { recomputed : int }
   | Full_rebuild of { reason : string }
 
 let incremental = function Full_rebuild _ -> false | _ -> true
@@ -20,7 +18,6 @@ let describe_strategy = function
     Printf.sprintf "delta(+%d/-%d pairs)" (List.length d.added) (List.length d.removed)
   | Filter_delta { kept_inserts; kept_deletes } ->
     Printf.sprintf "delta(+%d/-%d edges)" kept_inserts kept_deletes
-  | Ego_recompute { recomputed } -> Printf.sprintf "recompute(%d ego aggregates)" recomputed
   | Full_rebuild { reason } -> "rebuild: " ^ reason
 
 (* --------------------------------------------------------------- *)
@@ -44,24 +41,19 @@ let edge_ops ops =
       | Overlay.Insert_vertex _ -> None)
     ops
 
-(* Adjacency of the batch's deleted edges — the part of the *old*
+(* In-adjacency of the batch's deleted edges — the part of the *old*
    graph missing from [base_after]. Traversals that must see paths
    from either side of the update run on the union: [base_after]
    plus these. *)
-let deleted_adjacency ops =
-  let fwd : (int, int list) Hashtbl.t = Hashtbl.create 16 in
+let deleted_in_adjacency ops =
   let bwd : (int, int list) Hashtbl.t = Hashtbl.create 16 in
-  let push tbl k v =
-    Hashtbl.replace tbl k (v :: (match Hashtbl.find_opt tbl k with Some l -> l | None -> []))
-  in
   List.iter
     (fun (src, dst, _, _, is_insert) ->
-      if not is_insert then begin
-        push fwd src dst;
-        push bwd dst src
-      end)
+      if not is_insert then
+        Hashtbl.replace bwd dst
+          (src :: (match Hashtbl.find_opt bwd dst with Some l -> l | None -> [])))
     (edge_ops ops);
-  (fwd, bwd)
+  bwd
 
 (* Bounded multi-source BFS over a caller-supplied neighbour
    function; returns the visited table (seeds included, depth 0). *)
@@ -95,7 +87,8 @@ let bounded_bfs ~neighbors ~seeds ~depth =
 let khop_of_view (view : Materialize.materialized) =
   match view.Materialize.view with
   | View.Connector (View.K_hop { src_type; dst_type; k }) -> (src_type, dst_type, k)
-  | v -> invalid_arg ("Maintain.connector_delta: not a k-hop connector: " ^ View.name v)
+  | View.Summarizer _ as v ->
+    invalid_arg ("Maintain.connector_delta: not a k-hop connector: " ^ View.name v)
 
 (* Set-semantics exact-k forward reach (the deduped form of
    [Materialize]'s path-counting level walk): calls [f] once per
@@ -143,7 +136,7 @@ let connector_delta base_after ~view ~ops =
      edge (u, v) at some position i in 1..k, putting the path's source
      within i-1 <= k-1 backward hops of u. Walk backwards on the union
      graph (new in-adjacency plus deleted edges) to find them. *)
-  let _, del_bwd = deleted_adjacency ops in
+  let del_bwd = deleted_in_adjacency ops in
   let seeds = List.map (fun (src, _, _, _, _) -> src) eops in
   let neighbors v f =
     Graph.iter_in base_after v (fun ~src ~etype:_ ~eid:_ -> f src);
@@ -193,16 +186,14 @@ let connector_delta base_after ~view ~ops =
    vertex set is extended with base vertices of the endpoint types
    that appeared since materialization. *)
 let apply_connector_delta base_after ~view ~(delta : delta) =
-  let src_type, dst_type, _ = khop_of_view view in
+  let src_type, dst_type, k = khop_of_view view in
   let schema = Graph.schema base_after in
   let src_ty = Schema.vertex_type_id schema src_type in
   let dst_ty = Schema.vertex_type_id schema dst_type in
   let vg = view.Materialize.graph in
   let vschema = Graph.schema vg in
   let edge_ty =
-    match view.Materialize.view with
-    | View.Connector c -> Schema.edge_type_id vschema (View.connector_edge_type c)
-    | _ -> assert false
+    Schema.edge_type_id vschema (View.connector_edge_type (View.K_hop { src_type; dst_type; k }))
   in
   let old_len = Array.length view.Materialize.new_of_old in
   let n_after = Graph.n_vertices base_after in
@@ -397,69 +388,6 @@ let filter_counts (view : Materialize.materialized) ops =
   Filter_delta { kept_inserts = !ins; kept_deletes = !del }
 
 (* --------------------------------------------------------------- *)
-(* Ego aggregators                                                   *)
-
-(* A vertex's k-hop undirected neighbourhood aggregate changes only
-   if a changed edge lies within k hops — on the union graph, so
-   neighbourhoods shrunk by deletes are found too. *)
-let ego_affected base_after ~k ~ops =
-  let del_fwd, del_bwd = deleted_adjacency ops in
-  let seeds =
-    List.concat_map (fun (src, dst, _, _, _) -> [ src; dst ]) (edge_ops ops)
-  in
-  let neighbors v f =
-    Graph.iter_out base_after v (fun ~dst ~etype:_ ~eid:_ -> f dst);
-    Graph.iter_in base_after v (fun ~src ~etype:_ ~eid:_ -> f src);
-    (match Hashtbl.find_opt del_fwd v with None -> () | Some l -> List.iter f l);
-    match Hashtbl.find_opt del_bwd v with None -> () | Some l -> List.iter f l
-  in
-  bounded_bfs ~neighbors ~seeds ~depth:k
-
-let ego_of_view (view : Materialize.materialized) =
-  match view.Materialize.view with
-  | View.Summarizer (View.Ego_aggregator { k; agg_prop; agg }) -> (k, agg_prop, agg)
-  | _ -> assert false
-
-let refresh_ego ?pool base_after ~(view : Materialize.materialized) ~ops =
-  let k, agg_prop, agg = ego_of_view view in
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let vg = view.Materialize.graph in
-  let old_n = Graph.n_vertices vg in
-  let n_after = Graph.n_vertices base_after in
-  let ego_prop = "ego_" ^ String.lowercase_ascii (View.agg_name agg) ^ "_" ^ agg_prop in
-  let affected = ego_affected base_after ~k ~ops in
-  let recompute = Array.make n_after false in
-  Hashtbl.iter (fun v () -> recompute.(v) <- true) affected;
-  for v = old_n to n_after - 1 do
-    recompute.(v) <- true
-  done;
-  let recomputed = Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 recompute in
-  let ego =
-    Array.concat
-      (Array.to_list
-         (Pool.map_morsels pool ~n:n_after (fun ~lo ~hi ->
-              Array.init (hi - lo) (fun j ->
-                  let v = lo + j in
-                  if recompute.(v) then
-                    let nbors =
-                      Kaskade_algo.Traverse.reachable_within base_after ~src:v ~max_hops:k
-                        ~dir:Kaskade_algo.Traverse.Both ()
-                    in
-                    Materialize.aggregate agg
-                      (List.map (fun u -> Graph.vprop_or_null base_after u agg_prop) nbors)
-                  else Graph.vprop_or_null vg v ego_prop))))
-  in
-  (* The view is the base graph plus one aggregate column; share the
-     base's topology outright and swap the column in. *)
-  ( {
-      view with
-      Materialize.graph = Graph.with_vprop_column base_after ego_prop ego;
-      new_of_old = Array.init n_after Fun.id;
-      build_cost = view.Materialize.build_cost +. float_of_int (k * recomputed);
-    },
-    Ego_recompute { recomputed } )
-
-(* --------------------------------------------------------------- *)
 (* Dispatch                                                          *)
 
 let has_path_counts (view : Materialize.materialized) =
@@ -467,23 +395,13 @@ let has_path_counts (view : Materialize.materialized) =
 
 let rebuild_reason (view : Materialize.materialized) =
   match view.Materialize.view with
-  | View.Connector (View.K_hop _) when has_path_counts view -> Some "connector carries path counts"
-  | View.Connector (View.K_hop _) -> None
-  | View.Connector _ -> Some "closure connector (unbounded path length)"
-  | View.Summarizer (View.Vertex_aggregator _) -> Some "vertex aggregator re-groups on any change"
-  | View.Summarizer (View.Subgraph_aggregator _) ->
-    Some "subgraph aggregator depends on global connectivity"
-  | View.Summarizer
-      (View.Vertex_inclusion _ | View.Vertex_removal _ | View.Edge_inclusion _ | View.Edge_removal _)
-    ->
-    None
-  | View.Summarizer (View.Ego_aggregator _) -> None
+  | View.Connector _ when has_path_counts view -> Some "connector carries path counts"
+  | View.Connector _ | View.Summarizer _ -> None
 
 let noop_strategy (view : Materialize.materialized) =
   match view.Materialize.view with
-  | View.Connector (View.K_hop _) -> Connector_delta { added = []; removed = [] }
-  | View.Summarizer (View.Ego_aggregator _) -> Ego_recompute { recomputed = 0 }
-  | _ -> Filter_delta { kept_inserts = 0; kept_deletes = 0 }
+  | View.Connector _ -> Connector_delta { added = []; removed = [] }
+  | View.Summarizer _ -> Filter_delta { kept_inserts = 0; kept_deletes = 0 }
 
 let plan base_after ~view ~ops =
   match rebuild_reason view with
@@ -492,16 +410,8 @@ let plan base_after ~view ~ops =
     if ops = [] then noop_strategy view
     else
       match view.Materialize.view with
-      | View.Connector (View.K_hop _) -> Connector_delta (connector_delta base_after ~view ~ops)
-      | View.Summarizer (View.Ego_aggregator { k; _ }) ->
-        let affected = ego_affected base_after ~k ~ops in
-        let old_n = Graph.n_vertices view.Materialize.graph in
-        let extra = ref 0 in
-        for v = old_n to Graph.n_vertices base_after - 1 do
-          if not (Hashtbl.mem affected v) then Stdlib.incr extra
-        done;
-        Ego_recompute { recomputed = Hashtbl.length affected + !extra }
-      | _ -> filter_counts view ops)
+      | View.Connector _ -> Connector_delta (connector_delta base_after ~view ~ops)
+      | View.Summarizer _ -> filter_counts view ops)
 
 (* The cost a [strategy] already paid, charged to the budget after
    the incremental paths (which are single structural passes — the
@@ -510,7 +420,6 @@ let plan base_after ~view ~ops =
 let strategy_cost = function
   | Connector_delta d -> List.length d.added + List.length d.removed
   | Filter_delta { kept_inserts; kept_deletes } -> kept_inserts + kept_deletes
-  | Ego_recompute { recomputed } -> recomputed
   | Full_rebuild _ -> 0
 
 let refresh ?pool ?budget base_after ~view ~ops =
@@ -527,11 +436,10 @@ let refresh ?pool ?budget base_after ~view ~ops =
       if ops = [] then (view, noop_strategy view)
       else (
         match view.Materialize.view with
-        | View.Connector (View.K_hop _) ->
+        | View.Connector _ ->
           let d = connector_delta base_after ~view ~ops in
           (apply_connector_delta base_after ~view ~delta:d, Connector_delta d)
-        | View.Summarizer (View.Ego_aggregator _) -> refresh_ego ?pool base_after ~view ~ops
-        | _ -> refresh_filter base_after ~view ~ops)
+        | View.Summarizer _ -> refresh_filter base_after ~view ~ops)
   in
   Budget.step ~cost:(strategy_cost (snd out)) budget Budget.Refresh;
   out

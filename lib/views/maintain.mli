@@ -21,14 +21,9 @@
       live matching instance in eid order and [Subgraph.restrict]
       preserves eid order, the refreshed view is {e identical} — edge
       order and properties included — to a full re-materialization.
-    - {b ego aggregators}: only vertices within k undirected hops of a
-      changed edge's endpoints (again on the union graph) can see
-      their neighbourhood aggregate change; everyone else's stored
-      value is reused.
-    - everything else (vertex/subgraph aggregators, closure
-      connectors, path-count-carrying connectors) falls back to a
-      {b flagged full rebuild} — the strategy says so, and the caller
-      can surface it (EXPLAIN, metrics).
+    - a connector carrying path counts falls back to a {b flagged
+      full rebuild} — the strategy says so, and the caller can surface
+      it (EXPLAIN, metrics).
 
     Connector maintenance assumes the catalog's standard
     materialization flags (deduped pairs, no path counts); a view
@@ -50,8 +45,6 @@ type strategy =
   | Filter_delta of { kept_inserts : int; kept_deletes : int }
       (** Ops passed through a vertex/edge filter; counts are the ops
           that survived the filter. *)
-  | Ego_recompute of { recomputed : int }
-      (** Ego aggregates recomputed for the affected vertices only. *)
   | Full_rebuild of { reason : string }
       (** The delta is not expressible; re-materialized from scratch. *)
 
@@ -60,7 +53,7 @@ val incremental : strategy -> bool
 
 val describe_strategy : strategy -> string
 (** One-line human-readable form, e.g.
-    ["delta(+3/-1 pairs)"] or ["rebuild: closure connector"]. *)
+    ["delta(+3/-1 pairs)"] or ["rebuild: connector carries path counts"]. *)
 
 val connector_delta :
   Kaskade_graph.Graph.t ->
@@ -91,9 +84,8 @@ val refresh :
     returned view is result-identical to
     [Materialize.materialize base_after view.view] — same vertex set,
     same edge multiset, same properties; byte-identical for filter
-    summarizers and ego aggregators. [pool] fans out the ego
-    recomputation sweeps and is forwarded to [Materialize.materialize]
-    on the rebuild path.
+    summarizers. [pool] is forwarded to [Materialize.materialize] on
+    the rebuild path.
 
     [budget] is checked before any work (stage [Refresh]); the
     full-rebuild path forwards it to [Materialize.materialize] (which

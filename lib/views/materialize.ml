@@ -11,22 +11,6 @@ type materialized = {
   build_cost : float;
 }
 
-let aggregate fn values =
-  match fn with
-  | View.Agg_count -> Value.Int (List.length values)
-  | View.Agg_sum ->
-    List.fold_left (fun acc v -> match v with Value.Null -> acc | _ -> Value.add acc v) (Value.Int 0) values
-  | View.Agg_min -> begin
-    match values with
-    | [] -> Value.Null
-    | first :: rest -> List.fold_left (fun a v -> if Value.compare v a < 0 then v else a) first rest
-  end
-  | View.Agg_max -> begin
-    match values with
-    | [] -> Value.Null
-    | first :: rest -> List.fold_left (fun a v -> if Value.compare v a > 0 then v else a) first rest
-  end
-
 (* --------------------------------------------------------------- *)
 (* Connectors                                                        *)
 
@@ -64,7 +48,6 @@ let resolve_pool = function Some p -> p | None -> Pool.default ()
 
 (* Neighbor-iteration closures for the per-source traversals. *)
 let out_iter g v f = Graph.iter_out g v (fun ~dst ~etype:_ ~eid:_ -> f dst)
-let out_etype_iter g ~etype v f = Graph.iter_out_etype g v ~etype (fun ~dst ~eid:_ -> f dst)
 
 (* Budget checkpoints are per source traversal: every worker domain
    steps the (shared, racy-but-monotone) budget once per source, so a
@@ -99,29 +82,6 @@ let fan_out_edges ?budget pool ~sources ~per_source ~replay =
       done)
     morsels;
   !total_cost
-
-(* Transitive reachability (>= 1 step) from [src] via [iter]: a
-   scratch-buffer BFS over one FIFO queue; emits reached vertices in
-   discovery order, never [src] itself. *)
-let reach_from ~n ~iter ~src ~cost emit =
-  Scratch.with_set ~n @@ fun seen ->
-  Scratch.with_vec @@ fun queue ->
-  Scratch.add seen src;
-  Int_vec.push queue src;
-  let head = ref 0 in
-  while !head < Int_vec.length queue do
-    let v = Int_vec.get queue !head in
-    Stdlib.incr head;
-    iter v (fun dst ->
-        Stdlib.incr cost;
-        if not (Scratch.mem seen dst) then begin
-          Scratch.add seen dst;
-          Int_vec.push queue dst
-        end)
-  done;
-  for i = 1 to Int_vec.length queue - 1 do
-    emit (Int_vec.get queue i)
-  done
 
 (* Exact-k forward reachability with path multiplicities: level sets
    are (scratch set carrying per-vertex path counts, members vector in
@@ -187,85 +147,6 @@ let connector_k_hop ?(dedupe = true) ?(with_path_counts = false) ?pool ?budget g
   in
   { view; graph = Graph.freeze b; new_of_old; build_cost = float_of_int cost }
 
-let connector_same_vertex_type ?pool ?budget g ~vtype =
-  let pool = resolve_pool pool in
-  let view = View.Connector (View.Same_vertex_type { vtype }) in
-  let edge_name = View.connector_edge_type (View.Same_vertex_type { vtype }) in
-  let b, new_of_old = endpoint_builder g [ vtype ] [ (vtype, edge_name, vtype) ] in
-  let ty = Schema.vertex_type_id (Graph.schema g) vtype in
-  let n = Graph.n_vertices g in
-  let iter = out_iter g in
-  let per_source ~cost u emit =
-    reach_from ~n ~iter ~src:u ~cost (fun w ->
-        if Graph.vertex_type g w = ty then emit u w 0)
-  in
-  let cost =
-    fan_out_edges ?budget pool ~sources:(Graph.vertices_of_type_name g vtype) ~per_source
-      ~replay:(fun u w _ ->
-        ignore (Builder.add_edge b ~src:new_of_old.(u) ~dst:new_of_old.(w) ~etype:edge_name ()))
-  in
-  { view; graph = Graph.freeze b; new_of_old; build_cost = float_of_int cost }
-
-let connector_same_edge_type ?pool ?budget g ~etype =
-  let pool = resolve_pool pool in
-  let view = View.Connector (View.Same_edge_type { etype }) in
-  let edge_name = View.connector_edge_type (View.Same_edge_type { etype }) in
-  let schema = Graph.schema g in
-  let etid = Schema.edge_type_id schema etype in
-  let src_type = Schema.vertex_type_name schema (Schema.edge_src schema etid) in
-  let dst_type = Schema.vertex_type_name schema (Schema.edge_dst schema etid) in
-  let dst_ty = Schema.vertex_type_id schema dst_type in
-  (* Paths of a single edge type require domain = range beyond one
-     hop; for heterogeneous edge types this is single-hop closure. *)
-  let b, new_of_old =
-    endpoint_builder g [ src_type; dst_type ] [ (src_type, edge_name, dst_type) ]
-  in
-  let n = Graph.n_vertices g in
-  let iter = out_etype_iter g ~etype:etid in
-  let per_source ~cost u emit =
-    reach_from ~n ~iter ~src:u ~cost (fun w ->
-        if new_of_old.(w) >= 0 && Graph.vertex_type g w = dst_ty then emit u w 0)
-  in
-  let cost =
-    fan_out_edges ?budget pool ~sources:(Graph.vertices_of_type_name g src_type) ~per_source
-      ~replay:(fun u w _ ->
-        ignore (Builder.add_edge b ~src:new_of_old.(u) ~dst:new_of_old.(w) ~etype:edge_name ()))
-  in
-  { view; graph = Graph.freeze b; new_of_old; build_cost = float_of_int cost }
-
-let connector_source_to_sink ?pool ?budget g =
-  let pool = resolve_pool pool in
-  let view = View.Connector View.Source_to_sink in
-  let edge_name = View.connector_edge_type View.Source_to_sink in
-  let schema = Schema.define ~vertices:[ "V" ] ~edges:[ ("V", edge_name, "V") ] in
-  let b = Builder.create schema in
-  let n = Graph.n_vertices g in
-  let new_of_old = Array.make n (-1) in
-  let is_endpoint v = Graph.in_degree g v = 0 || Graph.out_degree g v = 0 in
-  for v = 0 to n - 1 do
-    if is_endpoint v then begin
-      let props =
-        ("orig_type", Value.Str (Graph.vertex_type_name g v)) :: Graph.vertex_props g v
-      in
-      new_of_old.(v) <- Builder.add_vertex b ~vtype:"V" ~props ()
-    end
-  done;
-  let sources = ref [] in
-  for u = n - 1 downto 0 do
-    if Graph.in_degree g u = 0 && Graph.out_degree g u > 0 then sources := u :: !sources
-  done;
-  let iter = out_iter g in
-  let per_source ~cost u emit =
-    reach_from ~n ~iter ~src:u ~cost (fun w ->
-        if Graph.out_degree g w = 0 then emit u w 0)
-  in
-  let cost =
-    fan_out_edges ?budget pool ~sources:(Array.of_list !sources) ~per_source
-      ~replay:(fun u w _ ->
-        ignore (Builder.add_edge b ~src:new_of_old.(u) ~dst:new_of_old.(w) ~etype:edge_name ()))
-  in
-  { view; graph = Graph.freeze b; new_of_old; build_cost = float_of_int cost }
-
 (* --------------------------------------------------------------- *)
 (* Summarizers                                                       *)
 
@@ -328,109 +209,6 @@ let complement_edge_types schema drop =
     (fun (d : Schema.edge_def) -> if List.mem d.name drop then None else Some d.name)
     (Schema.edge_defs schema)
 
-let summarize_vertex_aggregator g view ~vtype ~group_prop ~agg_prop ~agg =
-  let schema = Graph.schema g in
-  let target_ty = Schema.vertex_type_id schema vtype in
-  (* Group key -> supervertex members. *)
-  let groups : (Value.t, int list) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun v ->
-      let key = Graph.vprop_or_null g v group_prop in
-      match Hashtbl.find_opt groups key with
-      | Some members -> Hashtbl.replace groups key (v :: members)
-      | None -> Hashtbl.add groups key [ v ])
-    (Graph.vertices_of_type g target_ty);
-  let b = Builder.create schema in
-  let new_of_old = Array.make (Graph.n_vertices g) (-1) in
-  (* Pass-through vertices. *)
-  for v = 0 to Graph.n_vertices g - 1 do
-    if Graph.vertex_type g v <> target_ty then
-      new_of_old.(v) <-
-        Builder.add_vertex b ~vtype:(Graph.vertex_type_name g v) ~props:(Graph.vertex_props g v) ()
-  done;
-  (* Supervertices. *)
-  Hashtbl.iter
-    (fun key members ->
-      let values = List.map (fun v -> Graph.vprop_or_null g v agg_prop) members in
-      let super =
-        Builder.add_vertex b ~vtype
-          ~props:
-            [ (group_prop, key);
-              (agg_prop, aggregate agg values);
-              ("members", Value.Int (List.length members)) ]
-          ()
-      in
-      List.iter (fun v -> new_of_old.(v) <- super) members)
-    groups;
-  (* Re-route edges; drop self-loops produced by contraction. *)
-  Graph.iter_edges g (fun ~eid ~src ~dst ~etype ->
-      let s = new_of_old.(src) and d = new_of_old.(dst) in
-      if s >= 0 && d >= 0 && s <> d then
-        ignore
-          (Builder.add_edge b ~src:s ~dst:d ~etype:(Schema.edge_type_name schema etype)
-             ~props:(Graph.edge_props g eid) ()));
-  { view; graph = Graph.freeze b; new_of_old; build_cost = float_of_int (Graph.n_edges g) }
-
-let summarize_subgraph_aggregator g view ~agg_prop ~agg =
-  let uf = Kaskade_algo.Connectivity.components g in
-  let schema = Schema.define ~vertices:[ "Group" ] ~edges:[] in
-  let b = Builder.create schema in
-  let super_of_root = Hashtbl.create 64 in
-  let members_of_root : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-  let n = Graph.n_vertices g in
-  for v = 0 to n - 1 do
-    let r = Kaskade_util.Union_find.find uf v in
-    match Hashtbl.find_opt members_of_root r with
-    | Some ms -> Hashtbl.replace members_of_root r (v :: ms)
-    | None -> Hashtbl.add members_of_root r [ v ]
-  done;
-  let new_of_old = Array.make n (-1) in
-  Hashtbl.iter
-    (fun root members ->
-      let values = List.map (fun v -> Graph.vprop_or_null g v agg_prop) members in
-      let super =
-        Builder.add_vertex b ~vtype:"Group"
-          ~props:[ (agg_prop, aggregate agg values); ("members", Value.Int (List.length members)) ]
-          ()
-      in
-      Hashtbl.add super_of_root root super;
-      List.iter (fun v -> new_of_old.(v) <- super) members)
-    members_of_root;
-  { view; graph = Graph.freeze b; new_of_old; build_cost = float_of_int (Graph.n_edges g) }
-
-let summarize_ego_aggregator ?pool g view ~k ~agg_prop ~agg =
-  let pool = resolve_pool pool in
-  let schema = Graph.schema g in
-  let b = Builder.create schema in
-  let n = Graph.n_vertices g in
-  let ego_prop = "ego_" ^ String.lowercase_ascii (View.agg_name agg) ^ "_" ^ agg_prop in
-  let new_of_old = Array.make n (-1) in
-  (* The k-hop ego aggregate of each vertex is independent, so the
-     BFS sweeps fan out over the pool as morsels; only the per-vertex
-     aggregate value crosses back, and the builder is filled
-     sequentially. *)
-  let ego =
-    Array.concat
-      (Array.to_list
-         (Pool.map_morsels pool ~n (fun ~lo ~hi ->
-              Array.init (hi - lo) (fun j ->
-                  let v = lo + j in
-                  let nbors =
-                    Kaskade_algo.Traverse.reachable_within g ~src:v ~max_hops:k
-                      ~dir:Kaskade_algo.Traverse.Both ()
-                  in
-                  aggregate agg (List.map (fun u -> Graph.vprop_or_null g u agg_prop) nbors)))))
-  in
-  for v = 0 to n - 1 do
-    let props = (ego_prop, ego.(v)) :: Graph.vertex_props g v in
-    new_of_old.(v) <- Builder.add_vertex b ~vtype:(Graph.vertex_type_name g v) ~props ()
-  done;
-  Graph.iter_edges g (fun ~eid ~src ~dst ~etype ->
-      ignore
-        (Builder.add_edge b ~src:new_of_old.(src) ~dst:new_of_old.(dst)
-           ~etype:(Schema.edge_type_name schema etype) ~props:(Graph.edge_props g eid) ()));
-  { view; graph = Graph.freeze b; new_of_old; build_cost = float_of_int (k * Graph.n_edges g) }
-
 (* --------------------------------------------------------------- *)
 
 let m_materializations =
@@ -448,23 +226,12 @@ let materialize ?(dedupe = true) ?(with_path_counts = false) ?pool ?budget g vie
     match view with
     | View.Connector (View.K_hop { src_type; dst_type; k }) ->
       connector_k_hop ~dedupe ~with_path_counts ?pool ?budget g ~src_type ~dst_type ~k
-    | View.Connector (View.Same_vertex_type { vtype }) ->
-      connector_same_vertex_type ?pool ?budget g ~vtype
-    | View.Connector (View.Same_edge_type { etype }) ->
-      connector_same_edge_type ?pool ?budget g ~etype
-    | View.Connector View.Source_to_sink -> connector_source_to_sink ?pool ?budget g
     | View.Summarizer (View.Vertex_inclusion types) -> summarize_inclusion g view types
     | View.Summarizer (View.Vertex_removal types) ->
       summarize_inclusion g view (complement_vertex_types (Graph.schema g) types)
     | View.Summarizer (View.Edge_inclusion types) -> summarize_edge_filter g view types
     | View.Summarizer (View.Edge_removal types) ->
       summarize_edge_filter g view (complement_edge_types (Graph.schema g) types)
-    | View.Summarizer (View.Vertex_aggregator { vtype; group_prop; agg_prop; agg }) ->
-      summarize_vertex_aggregator g view ~vtype ~group_prop ~agg_prop ~agg
-    | View.Summarizer (View.Subgraph_aggregator { agg_prop; agg }) ->
-      summarize_subgraph_aggregator g view ~agg_prop ~agg
-    | View.Summarizer (View.Ego_aggregator { k; agg_prop; agg }) ->
-      summarize_ego_aggregator ?pool g view ~k ~agg_prop ~agg
   in
   (* Summarizers do their work in one structural pass; charge it as a
      lump so a step-capped budget still observes their cost. *)

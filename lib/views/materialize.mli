@@ -5,17 +5,14 @@
     Connector outputs contain only the connector's endpoint vertex
     types (properties copied) plus the contracted-edge type named by
     [View.connector_edge_type]. Summarizer outputs keep the original
-    types they preserve. The source-to-sink connector, whose endpoints
-    can mix vertex types, re-types every vertex to ["V"] and records
-    the original type in an [orig_type] property. *)
+    types they preserve. *)
 
 type materialized = {
   view : View.t;
   graph : Kaskade_graph.Graph.t;
   new_of_old : int array;
       (** Original vertex id -> id in the view graph, or [-1] when the
-          vertex does not appear. For aggregators this maps members to
-          their supervertex. *)
+          vertex does not appear. *)
   build_cost : float;
       (** Edges examined while materializing — the I/O-proportional
           creation cost of §V-A. *)
@@ -37,8 +34,7 @@ val materialize :
     via [Kaskade_algo.Paths] for sizes.
 
     [pool] (default {!Kaskade_util.Pool.default}) fans the per-source
-    traversals of connector views — and the per-vertex ego sweeps of
-    the ego aggregator — out over its domains. Parallelism is
+    traversals of connector views out over its domains. Parallelism is
     {b deterministic}: per-chunk edge buffers are replayed into the
     output builder in chunk order, so the materialized graph is
     byte-identical to a sequential ([Pool.create ~domains:1 ()]) run
@@ -50,11 +46,6 @@ val materialize :
     structural cost of summarizers charged as a lump. Exhaustion
     raises [Kaskade_util.Budget.Exhausted] with stage [Materialize];
     this module is also the ["materialize"] fault-injection site. *)
-
-val aggregate : View.aggregate_fn -> Kaskade_graph.Value.t list -> Kaskade_graph.Value.t
-(** Fold a property multiset with one of the paper's aggregators
-    ([Null]s skipped by sum, counted by count). Exposed for
-    {!Maintain}'s selective ego recomputation. *)
 
 val k_hop_connector :
   ?dedupe:bool ->

@@ -1,31 +1,17 @@
-type connector =
-  | K_hop of { src_type : string; dst_type : string; k : int }
-  | Same_vertex_type of { vtype : string }
-  | Same_edge_type of { etype : string }
-  | Source_to_sink
-
-type aggregate_fn = Agg_sum | Agg_count | Agg_min | Agg_max
+type connector = K_hop of { src_type : string; dst_type : string; k : int }
 
 type summarizer =
   | Vertex_inclusion of string list
   | Vertex_removal of string list
   | Edge_inclusion of string list
   | Edge_removal of string list
-  | Vertex_aggregator of { vtype : string; group_prop : string; agg_prop : string; agg : aggregate_fn }
-  | Subgraph_aggregator of { agg_prop : string; agg : aggregate_fn }
-  | Ego_aggregator of { k : int; agg_prop : string; agg : aggregate_fn }
 
 type t = Connector of connector | Summarizer of summarizer
 
 let upper = String.uppercase_ascii
 
-let agg_name = function Agg_sum -> "SUM" | Agg_count -> "COUNT" | Agg_min -> "MIN" | Agg_max -> "MAX"
-
-let connector_edge_type = function
-  | K_hop { src_type; dst_type; k } -> Printf.sprintf "%s_TO_%s_%dHOP" (upper src_type) (upper dst_type) k
-  | Same_vertex_type { vtype } -> Printf.sprintf "%s_TO_%s_PATH" (upper vtype) (upper vtype)
-  | Same_edge_type { etype } -> Printf.sprintf "%s_PATH" (upper etype)
-  | Source_to_sink -> "SOURCE_TO_SINK"
+let connector_edge_type (K_hop { src_type; dst_type; k }) =
+  Printf.sprintf "%s_TO_%s_%dHOP" (upper src_type) (upper dst_type) k
 
 let name = function
   | Connector c -> connector_edge_type c
@@ -35,23 +21,11 @@ let name = function
     | Vertex_removal types -> "DROP_V_" ^ String.concat "_" (List.map upper types)
     | Edge_inclusion types -> "KEEP_E_" ^ String.concat "_" (List.map upper types)
     | Edge_removal types -> "DROP_E_" ^ String.concat "_" (List.map upper types)
-    | Vertex_aggregator { vtype; group_prop; agg_prop; agg } ->
-      Printf.sprintf "AGG_V_%s_BY_%s_%s_%s" (upper vtype) (upper group_prop) (agg_name agg)
-        (upper agg_prop)
-    | Subgraph_aggregator { agg_prop; agg } ->
-      Printf.sprintf "AGG_SUBGRAPH_%s_%s" (agg_name agg) (upper agg_prop)
-    | Ego_aggregator { k; agg_prop; agg } ->
-      Printf.sprintf "EGO_%dHOP_%s_%s" k (agg_name agg) (upper agg_prop)
   end
 
 let describe = function
   | Connector (K_hop { src_type; dst_type; k }) ->
     Printf.sprintf "%d-hop connector (%s-to-%s)" k src_type dst_type
-  | Connector (Same_vertex_type { vtype }) ->
-    Printf.sprintf "same-vertex-type connector (%s, any path length)" vtype
-  | Connector (Same_edge_type { etype }) ->
-    Printf.sprintf "same-edge-type connector (:%s paths)" etype
-  | Connector Source_to_sink -> "source-to-sink connector"
   | Summarizer (Vertex_inclusion types) ->
     "vertex-inclusion summarizer keeping {" ^ String.concat ", " types ^ "}"
   | Summarizer (Vertex_removal types) ->
@@ -60,12 +34,6 @@ let describe = function
     "edge-inclusion summarizer keeping {" ^ String.concat ", " types ^ "}"
   | Summarizer (Edge_removal types) ->
     "edge-removal summarizer dropping {" ^ String.concat ", " types ^ "}"
-  | Summarizer (Vertex_aggregator { vtype; group_prop; agg_prop; agg }) ->
-    Printf.sprintf "vertex aggregator: group %s by %s, %s(%s)" vtype group_prop (agg_name agg) agg_prop
-  | Summarizer (Subgraph_aggregator { agg_prop; agg }) ->
-    Printf.sprintf "subgraph aggregator: contract components, %s(%s)" (agg_name agg) agg_prop
-  | Summarizer (Ego_aggregator { k; agg_prop; agg }) ->
-    Printf.sprintf "ego aggregator: %s(%s) over %d-hop neighbourhoods" (agg_name agg) agg_prop k
 
 let equal a b = name a = name b
 let compare a b = String.compare (name a) (name b)

@@ -1,25 +1,15 @@
 (** Graph-view descriptors: the two classes the paper identifies
     (§III-C, §VI) — connectors (path contractions, Table I) and
-    summarizers (filters and aggregators, Table II). A descriptor is a
-    logical definition; {!Materialize} turns it into a physical graph. *)
+    summarizers (type filters, Table II). Only the kinds some query
+    can be rewritten over are defined: k-hop connectors and the four
+    type filters. A descriptor is a logical definition;
+    {!Materialize} turns it into a physical graph. *)
 
 type connector =
   | K_hop of { src_type : string; dst_type : string; k : int }
       (** Edge per (pair of vertices connected by a k-length path).
           The same-vertex-type k-hop connector of the paper is the
           [src_type = dst_type] case. *)
-  | Same_vertex_type of { vtype : string }
-      (** Variable-length: edge per pair of same-type vertices
-          connected by any directed path (transitive closure
-          restricted to one type). *)
-  | Same_edge_type of { etype : string }
-      (** Edge per pair of vertices connected by a path made of one
-          edge type only. *)
-  | Source_to_sink
-      (** Edge per (source, sink) pair connected by a path, where
-          sources have no in-edges and sinks no out-edges. *)
-
-type aggregate_fn = Agg_sum | Agg_count | Agg_min | Agg_max
 
 type summarizer =
   | Vertex_inclusion of string list  (** Keep these vertex types, and
@@ -28,18 +18,6 @@ type summarizer =
   | Edge_inclusion of string list  (** Keep only these edge types
       (all vertices survive). *)
   | Edge_removal of string list
-  | Vertex_aggregator of { vtype : string; group_prop : string; agg_prop : string; agg : aggregate_fn }
-      (** Group same-type vertices by a property value into
-          supervertices; other types pass through. *)
-  | Subgraph_aggregator of { agg_prop : string; agg : aggregate_fn }
-      (** Contract every weakly-connected subgraph into a supervertex
-          (paper Table II, groups chosen by a predicate — here by
-          component). *)
-  | Ego_aggregator of { k : int; agg_prop : string; agg : aggregate_fn }
-      (** Paper Listing 5's [kHopNborsAggregator]: annotate every
-          vertex with the aggregate of [agg_prop] over its undirected
-          k-hop neighbourhood (topology unchanged; the result lands in
-          property [ego_<AGG>_<prop>]). *)
 
 type t = Connector of connector | Summarizer of summarizer
 
@@ -50,9 +28,6 @@ val name : t -> string
 
 val connector_edge_type : connector -> string
 (** Name of the contracted-edge type a connector view introduces. *)
-
-val agg_name : aggregate_fn -> string
-(** "SUM" | "COUNT" | "MIN" | "MAX". *)
 
 val describe : t -> string
 (** Human-readable one-liner (bench output, catalogs). *)

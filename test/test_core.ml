@@ -140,9 +140,9 @@ let test_enumeration_constraint_pruning () =
 let test_enumeration_unconstrained_space () =
   (* Schema 2-cycle: Job->File->Job. k-hop type paths up to 10 exist
      for every k (Job start for even k to Job, odd to File, plus File
-     starts): 2 paths per k and 2 same-type closures. *)
+     starts): 2 paths per k. *)
   let e = K.Enumerate.enumerate_unconstrained lineage_schema ~max_k:10 in
-  check_int "schema-only candidates" 22 (List.length e.K.Enumerate.candidates)
+  check_int "schema-only candidates" 20 (List.length e.K.Enumerate.candidates)
 
 let test_enumeration_deterministic () =
   let a = view_names (K.Enumerate.enumerate lineage_schema q1) in
@@ -161,7 +161,9 @@ let test_enumeration_homogeneous () =
         | _ -> None)
       e.K.Enumerate.candidates
   in
-  Alcotest.(check (list int)) "every k feasible" [ 1; 2; 3; 4 ] (List.sort compare khops)
+  (* k = 1 over the only edge type would copy the graph, so it is not
+     proposed. *)
+  Alcotest.(check (list int)) "every k > 1 feasible" [ 2; 3; 4 ] (List.sort compare khops)
 
 
 (* ------------------------------------------------------------------ *)
@@ -386,10 +388,6 @@ let test_merge_chains () =
   | [ { Kaskade_query.Ast.p_steps; _ } ] -> check_int "two steps" 2 (List.length p_steps)
   | _ -> Alcotest.fail "merge shape"
 
-let test_rewrite_same_vertex_type_not_mechanized () =
-  let v = View.Connector (View.Same_vertex_type { vtype = "Job" }) in
-  check_bool "not mechanized" true (K.Rewrite.rewrite lineage_schema q1 v = None)
-
 (* ------------------------------------------------------------------ *)
 (* Selection (paper §V-B)                                              *)
 
@@ -403,6 +401,49 @@ let test_selection_picks_2hop () =
   in
   let chosen = List.map View.name sel.K.Selection.chosen in
   check_bool "2-hop connector chosen" true (List.mem "JOB_TO_JOB_2HOP" chosen)
+
+(* Table IV Q1-Q4 (Q1 on prov only) over small prov, dblp and soc
+   graphs at a budget of 10x|E|. prov and dblp keep the 2-hop
+   connector plus the type filter; on soc the only edge type runs
+   V -> V, so the 1-hop connector would copy the graph and is not
+   enumerated. *)
+let test_selection_table_iv_picks () =
+  let picks g queries =
+    let ks = K.make g in
+    let sel =
+      K.select_views ks ~queries:(List.map K.parse queries) ~budget_edges:(10 * Graph.n_edges g)
+    in
+    List.map View.name sel.K.Selection.chosen
+  in
+  let q2_q4 l =
+    [ Printf.sprintf "MATCH (s:%s)<-[r*1..4]-(anc:%s) RETURN s, anc" l l;
+      Printf.sprintf "MATCH (s:%s)-[r*1..4]->(desc:%s) RETURN s, desc" l l;
+      Printf.sprintf
+        "SELECT s, n, MAX(r) FROM (MATCH (s:%s)-[r*1..4]->(n) RETURN s, n, r) GROUP BY s, n" l ]
+  in
+  let prov =
+    Kaskade_gen.Provenance_gen.(
+      generate
+        { default with jobs = 300; files = 600; tasks_per_job = 6; machines = 100; users = 400; seed = 42 })
+  in
+  let table_iv_q1 =
+    "SELECT A.pipelineName, AVG(T_CPU) FROM (SELECT A, SUM(B.CPU) AS T_CPU FROM (MATCH \
+     (q_j1:Job)-[:WRITES_TO]->(q_f1:File) (q_f1:File)-[r*0..8]->(q_f2:File) \
+     (q_f2:File)-[:IS_READ_BY]->(q_j2:Job) RETURN q_j1 as A, q_j2 as B) GROUP BY A, B) GROUP \
+     BY A.pipelineName"
+  in
+  Alcotest.(check (list string)) "prov picks" [ "JOB_TO_JOB_2HOP"; "KEEP_V_FILE_JOB" ]
+    (picks prov (table_iv_q1 :: q2_q4 "Job"));
+  let dblp =
+    Kaskade_gen.Dblp_gen.(
+      generate { default with authors = 500; pubs = 800; venues = 100; zipf_exponent = 2.1; seed = 7 })
+  in
+  Alcotest.(check (list string)) "dblp picks" [ "AUTHOR_TO_AUTHOR_2HOP"; "KEEP_V_AUTHOR_PUB" ]
+    (picks dblp (q2_q4 "Author"));
+  let soc =
+    Kaskade_gen.Powerlaw_gen.(generate { vertices = 300; edges = 1200; exponent = 2.4; seed = 11 })
+  in
+  check_bool "soc picks no 1-hop copy" false (List.mem "V_TO_V_1HOP" (picks soc (q2_q4 "V")))
 
 let test_selection_budget_zero () =
   let g = prov_graph () in
@@ -822,7 +863,6 @@ let () =
           Alcotest.test_case "summarizer applicability" `Quick test_rewrite_summarizer_applicability;
           Alcotest.test_case "edge removal applicability" `Quick test_rewrite_edge_removal_applicability;
           Alcotest.test_case "merge chains" `Quick test_merge_chains;
-          Alcotest.test_case "same-vertex-type not mechanized" `Quick test_rewrite_same_vertex_type_not_mechanized;
         ] );
       ( "selection",
         [
@@ -832,6 +872,7 @@ let () =
           Alcotest.test_case "infeasible k worthless" `Quick test_selection_infeasible_k_zero_value;
           Alcotest.test_case "solvers agree" `Quick test_selection_solvers_agree;
           Alcotest.test_case "query weights" `Quick test_selection_query_weights;
+          Alcotest.test_case "Table IV picks on fixture graphs" `Quick test_selection_table_iv_picks;
         ] );
       ("properties", qcheck_cases);
       ( "facade",

