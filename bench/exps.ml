@@ -112,7 +112,7 @@ let fig5 () =
           (fun n ->
             let sub, _ = Subgraph.edge_prefix g n in
             let stats = Gstats.compute sub in
-            let actual = Kaskade_algo.Paths.count_k_walks sub ~k:2 in
+            let actual = Kaskade_graph.Paths.count_k_walks sub ~k:2 in
             let est50 = Kaskade.Estimator.estimate_paths stats ~k:2 ~alpha:50.0 in
             let est95 = Kaskade.Estimator.estimate_paths stats ~k:2 ~alpha:95.0 in
             let er =
@@ -139,7 +139,7 @@ let fig5k () =
   let rows =
     List.map
       (fun k ->
-        let actual = Kaskade_algo.Paths.count_k_walks g ~k in
+        let actual = Kaskade_graph.Paths.count_k_walks g ~k in
         let est95 = Kaskade.Estimator.estimate_paths stats ~k ~alpha:95.0 in
         let est50 = Kaskade.Estimator.estimate_paths stats ~k ~alpha:50.0 in
         let ratio = if actual > 0.0 then est95 /. actual else 0.0 in
@@ -237,19 +237,19 @@ let fig8 () =
     List.map
       (fun (d : Datasets.dataset) ->
         let g = Lazy.force d.Datasets.graph in
-        let r = Kaskade_algo.Degree_dist.of_graph g in
+        let r = Kaskade_graph.Degree_dist.of_graph g in
         let points =
           (* A few CCDF sample points (deg, count-above). *)
-          let all = r.Kaskade_algo.Degree_dist.ccdf in
+          let all = r.Kaskade_graph.Degree_dist.ccdf in
           let total = List.length all in
           List.filteri (fun i _ -> i = 0 || i = total / 2 || i = total - 1) all
           |> List.map (fun (deg, cnt) -> Printf.sprintf "(%d, %d)" deg cnt)
           |> String.concat " "
         in
-        [ d.Datasets.name; Table.fmt_int r.Kaskade_algo.Degree_dist.n;
-          string_of_int r.Kaskade_algo.Degree_dist.max_degree;
-          Printf.sprintf "%.2f" r.Kaskade_algo.Degree_dist.alpha;
-          Printf.sprintf "%.3f" r.Kaskade_algo.Degree_dist.r2; points ])
+        [ d.Datasets.name; Table.fmt_int r.Kaskade_graph.Degree_dist.n;
+          string_of_int r.Kaskade_graph.Degree_dist.max_degree;
+          Printf.sprintf "%.2f" r.Kaskade_graph.Degree_dist.alpha;
+          Printf.sprintf "%.3f" r.Kaskade_graph.Degree_dist.r2; points ])
       Datasets.all
   in
   Table.print ~header:[ "dataset"; "n"; "max deg"; "ccdf slope"; "r2 (power-law fit)"; "ccdf samples" ] rows

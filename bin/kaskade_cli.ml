@@ -157,8 +157,8 @@ let stats_cmd =
   let run name edges seed graph_file =
     let g = load_or_generate graph_file name edges seed in
     Format.printf "%a@." Gstats.pp (Gstats.compute g);
-    let r = Kaskade_algo.Degree_dist.of_graph g in
-    Format.printf "degree distribution: %a@." Kaskade_algo.Degree_dist.pp r
+    let r = Kaskade_graph.Degree_dist.of_graph g in
+    Format.printf "degree distribution: %a@." Kaskade_graph.Degree_dist.pp r
   in
   Cmd.v (Cmd.info "stats" ~doc:"Degree statistics and power-law fit of a dataset.")
     Term.(const run $ dataset_arg $ edges_arg $ seed_arg $ graph_file_arg)

@@ -17,7 +17,7 @@ let () =
   (* The size estimator (Eq. 2) sees the blow-up before paying for
      materialization. *)
   let est = Kaskade.Estimator.estimate_paths stats ~k:2 ~alpha:95.0 in
-  let actual = Kaskade_algo.Paths.count_k_walks g ~k:2 in
+  let actual = Kaskade_graph.Paths.count_k_walks g ~k:2 in
   Printf.printf "\n2-hop connector size: estimated %.0f, actual %.0f, raw |E| = %d\n" est actual
     (Graph.n_edges g);
   Printf.printf "connector %s the raw graph (paper: homogeneous connectors usually exceed it)\n"

@@ -44,7 +44,7 @@ let dedupe candidates =
    work and wall time, and reports exhaustion as stage [Enumerate]
    rather than leaking [Engine.Budget_exceeded]. *)
 let engine_with ?budget schema_rules facts =
-  let db = Prelude.db_with_prelude () in
+  let db = Db.create () in
   Db.load db schema_rules;
   Facts.assert_all db facts;
   match budget with

@@ -23,7 +23,6 @@ let to_string = function
     Printf.sprintf "overloaded: %s at capacity (%d/%d in use)" resource in_use capacity
   | Io msg -> "I/O error: " ^ msg
 
-let pp ppf e = Format.pp_print_string ppf (to_string e)
 
 let label = function
   | Parse _ -> "parse"

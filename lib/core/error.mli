@@ -42,7 +42,6 @@ exception Overload of { resource : string; capacity : int; in_use : int }
     {!Overloaded}. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val label : t -> string
 (** Constructor name in snake case — stable key for logs/metrics. *)

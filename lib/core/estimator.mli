@@ -37,10 +37,6 @@ val typed_chain :
 (** [n_src * sum over schema k-paths src~>dst of (product of
     deg_alpha(intermediate types))]. 0 when no schema path exists. *)
 
-val connector_size :
-  Kaskade_graph.Gstats.t -> Kaskade_graph.Schema.t -> alpha:float -> Kaskade_views.View.connector -> float
-(** Estimated edge count of a k-hop connector view ({!typed_chain}). *)
-
 val creation_cost :
   Kaskade_graph.Gstats.t -> Kaskade_graph.Schema.t -> alpha:float -> Kaskade_views.View.t -> float
 (** I/O-proportional view creation cost (§V-A): proportional to the

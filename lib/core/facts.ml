@@ -59,6 +59,3 @@ let schema_facts schema =
   vfacts @ efacts
 
 let assert_all db facts = List.iter (Db.add_fact db) facts
-
-let facts_to_string facts =
-  String.concat "\n" (List.map (fun t -> Term.to_string t ^ ".") facts)

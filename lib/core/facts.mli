@@ -16,6 +16,3 @@ val query_facts :
 val schema_facts : Kaskade_graph.Schema.t -> Kaskade_prolog.Term.t list
 
 val assert_all : Kaskade_prolog.Db.t -> Kaskade_prolog.Term.t list -> unit
-
-val facts_to_string : Kaskade_prolog.Term.t list -> string
-(** Dot-terminated listing (debugging, DESIGN docs, tests). *)

@@ -529,12 +529,6 @@ module Update = struct
     maybe_snapshot t;
     id
 
-  let insert_edge t ~src ~dst ~etype ?(props = []) () =
-    ignore (apply_ops t [ Insert_edge { src; dst; etype; props } ])
-
-  let delete_edge t ~src ~dst ~etype =
-    apply_ops t [ Delete_edge { src; dst; etype } ] <> []
-
   let batch ops t = ignore (apply_ops t ops)
   let refresh_views = refresh_views
 
@@ -1194,7 +1188,6 @@ module Advisor = struct
         a.calibration
     end
 
-  let to_string a = Format.asprintf "@[<v>%a@]" pp a
 
   let to_json a =
     let open Report in

@@ -218,21 +218,6 @@ module Update : sig
     t -> vtype:string -> ?props:(string * Kaskade_graph.Value.t) list -> unit -> int
   (** Returns the new (stable) vertex id. *)
 
-  val insert_edge :
-    t ->
-    src:int ->
-    dst:int ->
-    etype:string ->
-    ?props:(string * Kaskade_graph.Value.t) list ->
-    unit ->
-    unit
-  (** Schema-checked; raises [Invalid_argument] like
-      [Builder.add_edge]. *)
-
-  val delete_edge : t -> src:int -> dst:int -> etype:string -> bool
-  (** Deletes the first live matching instance; [false] when none
-      matches (nothing changes, views stay fresh). *)
-
   val batch : op list -> t -> unit
   (** Apply a batch in order. Failed deletes are dropped; the ops that
       took effect are recorded against every catalog entry
@@ -407,7 +392,6 @@ val profile :
     return the plan annotated with per-operator actual rows and wall
     times, plus any view repairs that ran first. *)
 
-val pp_report : Format.formatter -> report -> unit
 val report_to_string : report -> string
 
 val report_json : report -> Kaskade_obs.Report.json
@@ -474,7 +458,6 @@ module Advisor : sig
       toward frequencies — demand is demand. *)
 
   val pp : Format.formatter -> advice -> unit
-  val to_string : advice -> string
   val to_json : advice -> Kaskade_obs.Report.json
 end
 

@@ -1,18 +1,12 @@
 let mining_rules =
   {|
+% List membership, the one library predicate the rules call.
+member(X, [X|_]).
+member(X, [_|T]) :- member(X, T).
+
 % =====================================================================
 % Schema constraint mining rules (paper Listing 2).
 % =====================================================================
-
-% Paper-verbatim acyclic variant: K-length directed paths over the
-% schema graph that never revisit a vertex type.
-schemaKHopPathAcyclic(X, Y, K) :-
-  schemaKHopPathAcyclic(X, Y, K, []).
-schemaKHopPathAcyclic(X, Y, 1, _) :-
-  schemaEdge(X, Y, _).
-schemaKHopPathAcyclic(X, Y, K, Trail) :-
-  schemaEdge(X, Z, _), not(member(Z, Trail)),
-  schemaKHopPathAcyclic(Z, Y, K1, [X|Trail]), K is K1 + 1.
 
 % Bounded cycle-permitting variant used by the view templates: are
 % K-length paths between types X and Y feasible over the schema?
@@ -52,30 +46,6 @@ queryKHopPathT(X, Y, K, Trail) :-
 queryKHopPathT(X, Y, K, Trail) :-
   queryKHopVariableLengthPath(X, Z, K2), not(member(Z, Trail)),
   queryKHopPathT(Z, Y, K1, [Z|Trail]), K is K1 + K2.
-
-% Query-graph degrees, sources and sinks (single edges and
-% variable-length segments both count as incident).
-queryIncomingVertices(X, INLIST) :-
-  queryVertex(X),
-  findall(SRC, queryAnyEdge(SRC, X), INLIST).
-queryOutgoingVertices(X, OUTLIST) :-
-  queryVertex(X),
-  findall(DST, queryAnyEdge(X, DST), OUTLIST).
-queryAnyEdge(X, Y) :- queryEdge(X, Y).
-queryAnyEdge(X, Y) :- queryVariableLengthPath(X, Y, _, _).
-queryVertexInDegree(X, D) :-
-  queryIncomingVertices(X, INLIST), length(INLIST, D).
-queryVertexOutDegree(X, D) :-
-  queryOutgoingVertices(X, OUTLIST), length(OUTLIST, D).
-queryVertexSource(X) :- queryVertexInDegree(X, 0).
-queryVertexSink(X) :- queryVertexOutDegree(X, 0).
-
-% Ego-centric K-hop neighborhood of a query vertex (paper Listing 5).
-queryVertexKHopNbors(K, X, LIST) :-
-  queryVertex(X),
-  findall(SRC, queryKHopPath(SRC, X, K), INLIST),
-  findall(DST, queryKHopPath(X, DST, K), OUTLIST),
-  append(INLIST, OUTLIST, TMPLIST), sort(TMPLIST, LIST).
 |}
 
 let view_templates =

@@ -2,7 +2,9 @@
     (implicit-constraint derivation, Listings 2 and 6) and view
     templates (Listings 3 and 5), written in Prolog and evaluated by
     [Kaskade_prolog.Engine]. The library is extensible exactly as the
-    paper describes — additional rules are ordinary Prolog text.
+    paper describes — additional rules are ordinary Prolog text, as
+    long as they call only the engine's builtins
+    ([Kaskade_prolog.Engine.builtins]).
 
     Deviations from the paper's listings, documented here and in
     DESIGN.md:
@@ -10,8 +12,7 @@
       (K must be bound). The paper's Listing 2 tracks a type trail and
       therefore forbids revisiting a vertex *type*, which would reject
       the very K in {4, 6, 8, 10} job-to-job connectors its own §IV-B
-      example enumerates; the trail-guarded version is still provided
-      as [schemaKHopPathAcyclic/3] for comparison with the listing.
+      example enumerates.
     - [queryKHopPath/3] carries a visited-trail so cyclic MATCH
       patterns terminate. On the paper's (acyclic) patterns it derives
       the same facts as Listing 6.
@@ -20,13 +21,12 @@
       projected out of the MATCH clause"). *)
 
 val mining_rules : string
-(** Schema + query constraint mining rules. *)
-
-val view_templates : string
-(** Connector and summarizer view templates. *)
+(** Schema + query constraint mining rules, with the [member/2] they
+    call. *)
 
 val all : string
-(** [mining_rules ^ view_templates]. *)
+(** [mining_rules] followed by the connector and summarizer view
+    templates. *)
 
 val unconstrained_templates : string
 (** Ablation variant: the same view templates with the query

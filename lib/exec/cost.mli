@@ -12,17 +12,6 @@ type estimate = {
   match_rows : float;  (** Estimated rows out of the MATCH pipeline. *)
 }
 
-val estimate :
-  ?deg_override:(string -> float option) ->
-  Kaskade_graph.Gstats.t ->
-  Kaskade_graph.Schema.t ->
-  Kaskade_query.Ast.t ->
-  estimate
-(** [deg_override label] substitutes the branching factor for vertices
-    labelled [label] — how selection prices a query over a view that
-    is not materialized yet (e.g. a connector edge whose mean degree
-    is estimated-size / source-count). *)
-
 val eval_cost :
   ?deg_override:(string -> float option) ->
   Kaskade_graph.Gstats.t ->

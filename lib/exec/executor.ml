@@ -91,10 +91,6 @@ let graph ctx =
 
 let mode ctx = ctx.mode
 
-let communities ctx =
-  sync ctx;
-  ctx.communities
-
 let table_exn = function
   | Table t -> t
   | Affected _ -> invalid_arg "Executor.table_exn: result is not a table"
@@ -943,7 +939,7 @@ let rec eval_select ?prof ?budget ctx (sb : Ast.select_block) : Row.table =
 let eval_call ctx (c : Ast.proc_call) : result =
   match (c.proc, c.proc_args) with
   | "algo.labelPropagation", [ Value.Int passes ] ->
-    let labels = Kaskade_algo.Label_prop.run ctx.g ~passes in
+    let labels = Label_prop.run ctx.g ~passes in
     ctx.communities <- Some labels;
     Affected (Graph.n_vertices ctx.g)
   | "algo.largestCommunity", [ Value.Str type_name ] -> begin
@@ -955,7 +951,7 @@ let eval_call ctx (c : Ast.proc_call) : result =
         else Some (Schema.vertex_type_id (Graph.schema ctx.g) type_name)
       in
       let label, members =
-        Kaskade_algo.Label_prop.largest_community ctx.g ~labels ?count_type ()
+        Label_prop.largest_community ctx.g ~labels ?count_type ()
       in
       Table
         {

@@ -94,9 +94,6 @@ val run_explained :
     enclosing Pattern operator. Reported times are inclusive of child
     operators. *)
 
-val communities : ctx -> int array option
-(** Labels computed by the last [algo.labelPropagation] call. *)
-
 val table_exn : result -> Row.table
 (** Raises [Invalid_argument] when the result is not a table. *)
 

@@ -20,13 +20,6 @@ val optimize :
   Kaskade_query.Ast.t ->
   Kaskade_query.Ast.t
 
-val optimize_match :
-  Kaskade_graph.Gstats.t ->
-  Kaskade_graph.Schema.t ->
-  Kaskade_query.Ast.match_block ->
-  Kaskade_query.Ast.match_block
-(** Exposed for tests. *)
-
 val anchor_position :
   Kaskade_graph.Gstats.t ->
   Kaskade_graph.Schema.t ->

@@ -65,8 +65,6 @@ let set_edge_prop t id k v =
   Props.set t.eprops id k v
 
 let vertex_count t = Int_vec.length t.vtypes
-let edge_count t = Int_vec.length t.e_src
-let vertex_type t id = Int_vec.get t.vtypes id
 
 (* Internal accessors for Graph.freeze. *)
 let internal_vtypes t = t.vtypes

@@ -21,8 +21,6 @@ val set_vertex_prop : t -> int -> string -> Value.t -> unit
 val set_edge_prop : t -> int -> string -> Value.t -> unit
 
 val vertex_count : t -> int
-val edge_count : t -> int
-val vertex_type : t -> int -> int
 
 (**/**)
 

@@ -1,4 +1,3 @@
-open Kaskade_graph
 open Kaskade_util
 
 type report = {

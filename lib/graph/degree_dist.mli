@@ -10,8 +10,8 @@ type report = {
   r2 : float;  (** Goodness of that fit; near 1 = power law. *)
 }
 
-val of_graph : Kaskade_graph.Graph.t -> report
+val of_graph : Graph.t -> report
 (** Out-degree distribution over all vertices. *)
 
-val of_type : Kaskade_graph.Graph.t -> int -> report
+val of_type : Graph.t -> int -> report
 val pp : Format.formatter -> report -> unit

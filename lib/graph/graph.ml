@@ -207,8 +207,6 @@ let vertex_type t v = t.vtype.(v)
 let vertex_type_name t v = Schema.vertex_type_name t.schema t.vtype.(v)
 let vertices_of_type t ty = t.by_type.(ty)
 let vertices_of_type_name t name = t.by_type.(Schema.vertex_type_id t.schema name)
-let count_of_type t ty = Array.length t.by_type.(ty)
-
 let out_degree t v = t.out_off.(v + 1) - t.out_off.(v)
 let in_degree t v = t.in_off.(v + 1) - t.in_off.(v)
 
@@ -241,11 +239,6 @@ let typed_in_degree t v ~etype =
   let lo, hi = typed_in_slice t v ~etype in
   hi - lo
 
-let out_dst_at t i = t.out_dst.(i)
-let out_eid_at t i = t.out_eid.(i)
-let in_src_at t i = t.in_src.(i)
-let in_eid_at t i = t.in_eid.(i)
-
 let iter_out_etype t v ~etype f =
   let lo, hi = typed_out_slice t v ~etype in
   for i = lo to hi - 1 do
@@ -257,8 +250,6 @@ let iter_in_etype t v ~etype f =
   for i = lo to hi - 1 do
     f ~src:t.in_src.(i) ~eid:t.in_eid.(i)
   done
-
-let out_neighbors t v = Array.sub t.out_dst t.out_off.(v) (out_degree t v)
 
 let iter_edges t f =
   for e = 0 to t.m - 1 do
@@ -275,7 +266,6 @@ let eprop_or_null t e key = Props.get_or_null t.eprops e key
 
 let vertex_props t v = Props.entity_props t.vprops v
 let edge_props t e = Props.entity_props t.eprops e
-let vertex_prop_keys t = Props.keys t.vprops
 let edge_prop_keys t = Props.keys t.eprops
 
 let out_degrees_of_type t ty = Array.map (fun v -> out_degree t v) t.by_type.(ty)
@@ -353,7 +343,6 @@ module Overlay = struct
     }
 
   let base o = o.base
-  let schema o = o.base.schema
   let version o = o.version
 
   let pending_vertices o = Int_vec.length o.pend_vtype
@@ -384,9 +373,6 @@ module Overlay = struct
       match Hashtbl.find_opt o.pend_vprops v with
       | Some ps -> ( match List.assoc_opt key ps with Some x -> x | None -> Value.Null)
       | None -> Value.Null
-
-  let edge_props o eid =
-    if eid < o.base.m then edge_props o.base eid else o.pend_edges.(eid - o.base.m).pe_props
 
   let adj_of tbl v =
     match Hashtbl.find_opt tbl v with
@@ -424,12 +410,6 @@ module Overlay = struct
           if not (Hashtbl.mem o.deleted eid) then f ~dst ~eid);
     iter_pending o o.out_adj v (fun e eid -> if e.pe_etype = etype then f ~dst:e.pe_dst ~eid)
 
-  let iter_in_etype o v ~etype f =
-    if v < o.base.n then
-      iter_in_etype o.base v ~etype (fun ~src ~eid ->
-          if not (Hashtbl.mem o.deleted eid) then f ~src ~eid);
-    iter_pending o o.in_adj v (fun e eid -> if e.pe_etype = etype then f ~src:e.pe_src ~eid)
-
   let out_degree o v =
     let c = ref 0 in
     iter_out o v (fun ~dst:_ ~etype:_ ~eid:_ -> Stdlib.incr c);
@@ -443,11 +423,6 @@ module Overlay = struct
   let typed_out_degree o v ~etype =
     let c = ref 0 in
     iter_out_etype o v ~etype (fun ~dst:_ ~eid:_ -> Stdlib.incr c);
-    !c
-
-  let typed_in_degree o v ~etype =
-    let c = ref 0 in
-    iter_in_etype o v ~etype (fun ~src:_ ~eid:_ -> Stdlib.incr c);
     !c
 
   let touch o = o.version <- o.version + 1

@@ -49,8 +49,6 @@ val vertices_of_type : t -> int -> int array
 (** Shared array — do not mutate. *)
 
 val vertices_of_type_name : t -> string -> int array
-val count_of_type : t -> int -> int
-
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 
@@ -65,24 +63,11 @@ val iter_in_etype : t -> int -> etype:int -> (src:int -> eid:int -> unit) -> uni
 
 val typed_out_slice : t -> int -> etype:int -> int * int
 (** [(start, stop)] bounds of the vertex's type-[etype] run in the
-    out-CSR: positions [start..stop-1] are readable through
-    {!out_dst_at}/{!out_eid_at}. *)
+    out-CSR: its type-[etype] out-edges sit at positions
+    [start..stop-1]. *)
 
-val typed_in_slice : t -> int -> etype:int -> int * int
 val typed_out_degree : t -> int -> etype:int -> int
 val typed_in_degree : t -> int -> etype:int -> int
-
-val out_dst_at : t -> int -> int
-(** Destination at an absolute out-CSR position (from
-    {!typed_out_slice}). Unchecked beyond array bounds. *)
-
-val out_eid_at : t -> int -> int
-val in_src_at : t -> int -> int
-val in_eid_at : t -> int -> int
-
-val out_neighbors : t -> int -> int array
-(** Fresh array of destination ids (possibly with duplicates for
-    parallel edges). *)
 
 val iter_edges : t -> (eid:int -> src:int -> dst:int -> etype:int -> unit) -> unit
 val edge_endpoints : t -> int -> int * int
@@ -97,7 +82,6 @@ val vertex_props : t -> int -> (string * Value.t) list
 (** All properties of a vertex (sorted by name). O(#columns). *)
 
 val edge_props : t -> int -> (string * Value.t) list
-val vertex_prop_keys : t -> string list
 val edge_prop_keys : t -> string list
 
 val out_degrees_of_type : t -> int -> int array
@@ -176,8 +160,6 @@ module Overlay : sig
   val base : t -> graph
   (** The frozen graph beneath the deltas (advances on {!compact}). *)
 
-  val schema : t -> Schema.t
-
   val version : t -> int
   (** Bumped by every successful mutation. Caches keyed on the version
       (executor contexts, statistics) stay valid while it is equal. *)
@@ -211,7 +193,6 @@ module Overlay : sig
 
   val n_vertices : t -> int
   val n_edges : t -> int
-  val vertex_type : t -> int -> int
   val vertex_type_name : t -> int -> string
   val out_degree : t -> int -> int
   val in_degree : t -> int -> int
@@ -222,15 +203,10 @@ module Overlay : sig
   (** The base's contiguous typed slice, minus deletions, then the
       vertex's pending edges of that type. *)
 
-  val iter_in_etype : t -> int -> etype:int -> (src:int -> eid:int -> unit) -> unit
   val typed_out_degree : t -> int -> etype:int -> int
-  val typed_in_degree : t -> int -> etype:int -> int
 
   val vertex_props : t -> int -> (string * Value.t) list
   val vprop_or_null : t -> int -> string -> Value.t
-  val edge_props : t -> int -> (string * Value.t) list
-  (** Edge property reads accept merged eids (pending edges included)
-      valid since the last compaction. *)
 
   (** {2 Snapshots and compaction} *)
 
@@ -240,7 +216,6 @@ module Overlay : sig
       calls between mutations are free. Batch updates before
       querying: every mutation invalidates the snapshot. *)
 
-  val pending_vertices : t -> int
   val pending_edges : t -> int
   (** Live pending inserts (inserts later deleted do not count). *)
 

@@ -1,4 +1,3 @@
-open Kaskade_graph
 
 let count_k_walks g ~k =
   let n = Graph.n_vertices g in

@@ -20,7 +20,6 @@ let get_or_null t id key = match get t id key with Some v -> v | None -> Value.N
 
 let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort compare
 
-let column_size t key = match Hashtbl.find_opt t key with Some col -> Hashtbl.length col | None -> 0
 
 let iter_column t key f =
   match Hashtbl.find_opt t key with Some col -> Hashtbl.iter f col | None -> ()

@@ -10,9 +10,6 @@ val get_or_null : t -> int -> string -> Value.t
 val keys : t -> string list
 (** Property names present, sorted. *)
 
-val column_size : t -> string -> int
-(** Number of entities carrying the property; 0 if unknown. *)
-
 val iter_column : t -> string -> (int -> Value.t -> unit) -> unit
 
 val remap : t -> (int -> int) -> t

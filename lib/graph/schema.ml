@@ -61,13 +61,6 @@ let edge_types_from t vtid =
   done;
   !out
 
-let edge_types_between t src dst =
-  let out = ref [] in
-  for i = Array.length t.edefs - 1 downto 0 do
-    if t.e_src.(i) = src && t.e_dst.(i) = dst then out := i :: !out
-  done;
-  !out
-
 let has_vertex_type t name = Hashtbl.mem t.v_by_name name
 let has_edge_type t name = Hashtbl.mem t.e_by_name name
 
@@ -88,8 +81,3 @@ let add_edge_type t ~src ~name ~dst =
   let vertices = vertex_types t in
   let edges = List.map (fun (d : edge_def) -> (d.src, d.name, d.dst)) (edge_defs t) in
   define ~vertices ~edges:(edges @ [ (src, name, dst) ])
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>vertex types: %s@,edges:@," (String.concat ", " (vertex_types t));
-  Array.iter (fun (d : edge_def) -> Format.fprintf ppf "  (%s)-[:%s]->(%s)@," d.src d.name d.dst) t.edefs;
-  Format.fprintf ppf "@]"

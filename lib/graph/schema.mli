@@ -38,7 +38,6 @@ val edge_dst : t -> int -> int
 val edge_types_from : t -> int -> int list
 (** Edge-type ids whose domain is the given vertex-type id. *)
 
-val edge_types_between : t -> int -> int -> int list
 val has_vertex_type : t -> string -> bool
 val has_edge_type : t -> string -> bool
 
@@ -53,5 +52,3 @@ val restrict : t -> keep_vertices:string list -> t
 val add_edge_type : t -> src:string -> name:string -> dst:string -> t
 (** Extended schema with one more edge type — how connector views
     announce their contracted-edge type (e.g. JOB_TO_JOB_2HOP). *)
-
-val pp : Format.formatter -> t -> unit

@@ -26,5 +26,4 @@ val div : t -> t -> t
 (** Numeric arithmetic; [Str] concatenation for [add]; [Null]
     propagates; anything else raises [Invalid_argument]. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

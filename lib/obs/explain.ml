@@ -99,7 +99,6 @@ let render root =
     rows;
   Buffer.contents buf
 
-let pp ppf n = Format.pp_print_string ppf (render n)
 
 let rec to_json n =
   Report.Obj

@@ -50,6 +50,4 @@ val render : node -> string
     est. rows / actual rows / time columns (actuals blank on a plain
     EXPLAIN). *)
 
-val pp : Format.formatter -> node -> unit
-
 val to_json : node -> Report.json

@@ -161,7 +161,6 @@ let slow_counter =
 
 let slow_threshold = ref 1.0
 let set_slow_threshold s = slow_threshold := Stdlib.max 0.0 s
-let slow_threshold_s () = !slow_threshold
 
 let append r =
   let stored, notify =

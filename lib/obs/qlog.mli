@@ -104,12 +104,6 @@ val set_slow_threshold : float -> unit
     [kaskade.slow_queries] counter (default [1.0]; clamped to ≥ 0).
     Process-global, like the ring. *)
 
-val slow_threshold_s : unit -> float
-
-val append : record -> record
-(** Low-level append of a prebuilt record (e.g. replaying a {!load}ed
-    workload); the stored copy gets a fresh [seq]. *)
-
 val set_sink : (record -> unit) option -> unit
 (** Per-append hook (e.g. streaming JSONL to a file). Runs on the
     appending domain, outside the log's lock; must not itself append. *)
@@ -126,10 +120,6 @@ val summary : unit -> string
 
 val record_to_json : record -> Report.json
 val record_of_json : Report.json -> (record, string) result
-
-val to_jsonl : unit -> string
-(** Current window as JSON Lines, one compact record per line, oldest
-    first. *)
 
 val save : string -> unit
 (** Write {!to_jsonl} to a file ([-] is not special here; the CLI

@@ -47,10 +47,6 @@ val rate : point -> string -> float
 (** [counter_delta / interval_s] — per-second rate over the point's
     window ([0.0] on the baseline point). *)
 
-val point_to_json : point -> Report.json
-(** Zero-delta counters and idle histograms are omitted; gauges are
-    kept (a level of 0 is information). *)
-
 val to_jsonl : t -> string
 (** The ring as JSON Lines, oldest first. *)
 

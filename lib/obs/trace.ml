@@ -138,12 +138,3 @@ let rec pp_indented depth ppf (s : span) =
 
 let pp ppf s = pp_indented 0 ppf s
 
-let rec to_json (s : span) =
-  Report.Obj
-    [ ("name", Report.Str s.name);
-      ("start_s", Report.Float s.start_s);
-      ("duration_s", Report.Float s.duration_s);
-      ("attrs", Report.Obj (List.map (fun (k, v) -> (k, Report.Str v)) s.attrs));
-      ("children", Report.List (List.map to_json s.children)) ]
-
-let total spans = List.fold_left (fun acc s -> acc +. s.duration_s) 0.0 spans

@@ -59,8 +59,3 @@ val collect : (unit -> 'a) -> 'a * span list
 
 val pp : Format.formatter -> span -> unit
 (** One span per line, indented by depth: [name  12.3ms  k=v ...]. *)
-
-val to_json : span -> Report.json
-
-val total : span list -> float
-(** Summed duration of the given spans (not their descendants). *)

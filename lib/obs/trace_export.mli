@@ -17,11 +17,9 @@
     a pre-order [span_id] and its [parent_id] (absent on roots),
     alongside the span's own attributes. *)
 
-val to_chrome : ?process_name:string -> Trace.span list -> Report.json
-(** [{"traceEvents": [...], "displayTimeUnit": "ms"}] — the object
-    form of the format, which tolerates trailing metadata and is what
-    both viewers accept. [process_name] defaults to ["kaskade"]. *)
-
 val to_chrome_string : ?process_name:string -> Trace.span list -> string
-(** {!to_chrome} rendered compactly, ready to write to a [.json] file
-    (CLI: [kaskade trace --chrome FILE]). *)
+(** The span forest as one compact trace-event JSON object
+    ([{"traceEvents": [...], "displayTimeUnit": "ms"}], the form both
+    viewers accept), ready to write to a [.json] file (CLI:
+    [kaskade trace --chrome FILE]). [process_name] defaults to
+    ["kaskade"]. *)

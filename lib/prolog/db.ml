@@ -2,11 +2,6 @@ type t = { tbl : (string * int, Parser.clause list ref) Hashtbl.t }
 
 let create () = { tbl = Hashtbl.create 64 }
 
-let copy t =
-  let tbl = Hashtbl.create (Hashtbl.length t.tbl) in
-  Hashtbl.iter (fun k v -> Hashtbl.add tbl k (ref !v)) t.tbl;
-  { tbl }
-
 let key_of_clause (c : Parser.clause) =
   match Term.functor_of c.head with
   | Some key -> key
@@ -18,21 +13,9 @@ let assertz t c =
   | Some cell -> cell := !cell @ [ c ]
   | None -> Hashtbl.add t.tbl key (ref [ c ])
 
-let asserta t c =
-  let key = key_of_clause c in
-  match Hashtbl.find_opt t.tbl key with
-  | Some cell -> cell := c :: !cell
-  | None -> Hashtbl.add t.tbl key (ref [ c ])
-
 let add_fact t head = assertz t { head; body = Term.Atom "true"; nvars = Term.max_var head + 1 }
-
-let retract_all t name arity = Hashtbl.remove t.tbl (name, arity)
 
 let clauses t name arity =
   match Hashtbl.find_opt t.tbl (name, arity) with Some cell -> !cell | None -> []
 
 let load t src = List.iter (assertz t) (Parser.parse_program src)
-
-let predicates t = Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [] |> List.sort compare
-
-let clause_count t = Hashtbl.fold (fun _ cell acc -> acc + List.length !cell) t.tbl 0

@@ -4,28 +4,13 @@
 type t
 
 val create : unit -> t
-val copy : t -> t
-(** Independent snapshot — used to run enumeration ablations against
-    the same fact base with different rule sets. *)
-
-val assertz : t -> Parser.clause -> unit
-(** Append a clause to its predicate. *)
-
-val asserta : t -> Parser.clause -> unit
-(** Prepend a clause to its predicate. *)
 
 val add_fact : t -> Term.t -> unit
-(** [assertz] of a fact (body [true]); the term must be ground or the
-    caller takes responsibility for its variable numbering. *)
-
-val retract_all : t -> string -> int -> unit
-(** Drop every clause of the named predicate. *)
+(** Append a fact (body [true]); the term must be ground or the caller
+    takes responsibility for its variable numbering. *)
 
 val clauses : t -> string -> int -> Parser.clause list
 (** Clauses of [name/arity] in order; empty if unknown. *)
 
 val load : t -> string -> unit
-(** Parse a Prolog program and assert all of its clauses. *)
-
-val predicates : t -> (string * int) list
-val clause_count : t -> int
+(** Parse a Prolog program and append all of its clauses. *)

@@ -3,7 +3,6 @@ type t = {
   binds : Bindings.t;
   mutable steps : int;
   step_limit : int;
-  unknown_fails : bool;
   checkpoint : unit -> unit;
   mutable frame_counter : int;
 }
@@ -12,28 +11,22 @@ exception Budget_exceeded of int
 exception Runtime_error of string
 
 (* Control-flow signals. *)
-exception Stop_search
 exception Found_one
 exception Cut_signal of int
 
 let err fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
-let create ?(step_limit = 50_000_000) ?(unknown_fails = true) ?(checkpoint = ignore) db =
-  {
-    db;
-    binds = Bindings.create ();
-    steps = 0;
-    step_limit;
-    unknown_fails;
-    checkpoint;
-    frame_counter = 0;
-  }
+let create ?(step_limit = 50_000_000) ?(checkpoint = ignore) db =
+  { db; binds = Bindings.create (); steps = 0; step_limit; checkpoint; frame_counter = 0 }
 
-let db t = t.db
 let steps t = t.steps
 let reset_steps t = t.steps <- 0
 
-let consult t src = Db.load t.db src
+(* What [solve_goal] and [builtin] below define. *)
+let builtins =
+  [ ("true", 0); ("fail", 0); ("false", 0); ("!", 0); (",", 2); (";", 2); ("->", 2); ("\\+", 1);
+    ("not", 1); ("=", 2); ("is", 2); (">", 2); (">=", 2); ("integer", 1); ("between", 3);
+    ("setof", 3) ]
 
 let new_frame t =
   t.frame_counter <- t.frame_counter + 1;
@@ -55,30 +48,8 @@ let rec eval_arith t term =
   | Term.Int n -> n
   | Term.Var _ -> err "arithmetic: unbound variable"
   | Term.Atom a -> err "arithmetic: atom %s is not a number" a
-  | Term.Compound (op, [| a |]) -> begin
-    let x = eval_arith t a in
-    match op with
-    | "-" -> -x
-    | "+" -> x
-    | "abs" -> abs x
-    | _ -> err "arithmetic: unknown unary operator %s" op
-  end
-  | Term.Compound (op, [| a; b |]) -> begin
-    let x = eval_arith t a and y = eval_arith t b in
-    match op with
-    | "+" -> x + y
-    | "-" -> x - y
-    | "*" -> x * y
-    | "/" | "//" -> if y = 0 then err "arithmetic: division by zero" else x / y
-    | "mod" -> if y = 0 then err "arithmetic: mod by zero" else ((x mod y) + abs y) mod abs y
-    | "rem" -> if y = 0 then err "arithmetic: rem by zero" else x mod y
-    | "min" -> Stdlib.min x y
-    | "max" -> Stdlib.max x y
-    | "^" ->
-      let rec pow b e acc = if e <= 0 then acc else pow b (e - 1) (acc * b) in
-      pow x y 1
-    | _ -> err "arithmetic: unknown binary operator %s" op
-  end
+  | Term.Compound ("+", [| a; b |]) -> eval_arith t a + eval_arith t b
+  | Term.Compound ("-", [| a; b |]) -> eval_arith t a - eval_arith t b
   | Term.Compound (op, _) -> err "arithmetic: unknown operator %s" op
 
 (* ------------------------------------------------------------------ *)
@@ -148,31 +119,25 @@ and provable t g =
 and solve_call t goal name arity sk =
   match builtin t name arity with
   | Some f -> f (Term.args_of goal) sk
-  | None -> begin
-    let clauses = Db.clauses t.db name arity in
-    match clauses with
-    | [] ->
-      if t.unknown_fails then ()
-      else err "unknown predicate %s/%d" name arity
-    | _ ->
-      let frame = new_frame t in
-      (try
-         List.iter
-           (fun (c : Parser.clause) ->
-             tick t;
-             let m = Bindings.mark t.binds in
-             (* Rename the clause apart with fresh variables. *)
-             let base = Bindings.fresh t.binds in
-             Bindings.reserve t.binds (base + c.nvars);
-             let head = Term.rename ~offset:base c.head in
-             if Bindings.unify t.binds head goal then begin
-               let body = Term.rename ~offset:base c.body in
-               solve_goal t body frame sk
-             end;
-             Bindings.undo_to t.binds m)
-           clauses
-       with Cut_signal id when id = frame -> ())
-  end
+  | None -> (
+    (* An undefined predicate has no clauses, so it fails. *)
+    let frame = new_frame t in
+    try
+      List.iter
+        (fun (c : Parser.clause) ->
+          tick t;
+          let m = Bindings.mark t.binds in
+          (* Rename the clause apart with fresh variables. *)
+          let base = Bindings.fresh t.binds in
+          Bindings.reserve t.binds (base + c.nvars);
+          let head = Term.rename ~offset:base c.head in
+          if Bindings.unify t.binds head goal then begin
+            let body = Term.rename ~offset:base c.body in
+            solve_goal t body frame sk
+          end;
+          Bindings.undo_to t.binds m)
+        (Db.clauses t.db name arity)
+    with Cut_signal id when id = frame -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Builtins                                                            *)
@@ -180,79 +145,17 @@ and solve_call t goal name arity sk =
 and builtin t name arity : (Term.t array -> (unit -> unit) -> unit) option =
   match (name, arity) with
   | "=", 2 -> Some (fun args sk -> unify_then t args.(0) args.(1) sk)
-  | _ -> builtin2 t name arity
-
-and builtin2 t name arity =
-  match (name, arity) with
-  | "\\=", 2 ->
-    Some
-      (fun args sk ->
-        let m = Bindings.mark t.binds in
-        let ok = Bindings.unify t.binds args.(0) args.(1) in
-        Bindings.undo_to t.binds m;
-        if not ok then sk ())
-  | "==", 2 ->
-    Some
-      (fun args sk ->
-        if Term.equal (Bindings.resolve t.binds args.(0)) (Bindings.resolve t.binds args.(1)) then sk ())
-  | "\\==", 2 ->
-    Some
-      (fun args sk ->
-        if not (Term.equal (Bindings.resolve t.binds args.(0)) (Bindings.resolve t.binds args.(1))) then
-          sk ())
-  | "@<", 2 -> Some (compare_builtin t (fun c -> c < 0))
-  | "@>", 2 -> Some (compare_builtin t (fun c -> c > 0))
-  | "@=<", 2 -> Some (compare_builtin t (fun c -> c <= 0))
-  | "@>=", 2 -> Some (compare_builtin t (fun c -> c >= 0))
-  | "compare", 3 ->
-    Some
-      (fun args sk ->
-        let c =
-          Term.compare (Bindings.resolve t.binds args.(1)) (Bindings.resolve t.binds args.(2))
-        in
-        let sym = if c < 0 then "<" else if c > 0 then ">" else "=" in
-        unify_then t args.(0) (Term.Atom sym) sk)
   | "is", 2 ->
     Some
       (fun args sk ->
         let v = eval_arith t args.(1) in
         unify_then t args.(0) (Term.Int v) sk)
-  | "<", 2 -> Some (arith_builtin t ( < ))
   | ">", 2 -> Some (arith_builtin t ( > ))
-  | "=<", 2 -> Some (arith_builtin t ( <= ))
   | ">=", 2 -> Some (arith_builtin t ( >= ))
-  | "=:=", 2 -> Some (arith_builtin t ( = ))
-  | "=\\=", 2 -> Some (arith_builtin t ( <> ))
-  | "var", 1 ->
-    Some
-      (fun args sk ->
-        match Bindings.walk t.binds args.(0) with Term.Var _ -> sk () | _ -> ())
-  | "nonvar", 1 ->
-    Some
-      (fun args sk ->
-        match Bindings.walk t.binds args.(0) with Term.Var _ -> () | _ -> sk ())
-  | "atom", 1 ->
-    Some
-      (fun args sk ->
-        match Bindings.walk t.binds args.(0) with Term.Atom _ -> sk () | _ -> ())
   | "integer", 1 ->
     Some
       (fun args sk ->
         match Bindings.walk t.binds args.(0) with Term.Int _ -> sk () | _ -> ())
-  | "atomic", 1 ->
-    Some
-      (fun args sk ->
-        match Bindings.walk t.binds args.(0) with
-        | Term.Atom _ | Term.Int _ -> sk ()
-        | _ -> ())
-  | "ground", 1 ->
-    Some (fun args sk -> if Term.is_ground (Bindings.resolve t.binds args.(0)) then sk ())
-  | "is_list", 1 ->
-    Some
-      (fun args sk ->
-        match Term.to_list (Bindings.resolve t.binds args.(0)) with
-        | Some _ -> sk ()
-        | None -> ())
   | "between", 3 ->
     Some
       (fun args sk ->
@@ -265,32 +168,6 @@ and builtin2 t name arity =
             unify_then t args.(2) (Term.Int x) sk
           done
         | _ -> ())
-  | "succ", 2 ->
-    Some
-      (fun args sk ->
-        match (Bindings.walk t.binds args.(0), Bindings.walk t.binds args.(1)) with
-        | Term.Int a, _ -> unify_then t args.(1) (Term.Int (a + 1)) sk
-        | _, Term.Int b -> if b > 0 then unify_then t args.(0) (Term.Int (b - 1)) sk
-        | _ -> err "succ/2: insufficiently instantiated")
-  | "length", 2 ->
-    Some
-      (fun args sk ->
-        match Term.to_list (Bindings.resolve t.binds args.(0)) with
-        | Some items -> unify_then t args.(1) (Term.Int (List.length items)) sk
-        | None -> begin
-          match Bindings.walk t.binds args.(1) with
-          | Term.Int n when n >= 0 ->
-            let fresh_list =
-              Term.list_of (List.init n (fun _ -> Term.Var (Bindings.fresh t.binds)))
-            in
-            unify_then t args.(0) fresh_list sk
-          | _ -> err "length/2: insufficiently instantiated"
-        end)
-  | "findall", 3 ->
-    Some
-      (fun args sk ->
-        let results = collect_all t args.(0) args.(1) in
-        unify_then t args.(2) (Term.list_of results) sk)
   | "setof", 3 ->
     Some
       (fun args sk ->
@@ -304,94 +181,7 @@ and builtin2 t name arity =
         let results = collect_all t args.(0) (strip args.(1)) in
         let sorted = List.sort_uniq Term.compare results in
         if sorted <> [] then unify_then t args.(2) (Term.list_of sorted) sk)
-  | "bagof", 3 ->
-    Some
-      (fun args sk ->
-        let results = collect_all t args.(0) args.(1) in
-        if results <> [] then unify_then t args.(2) (Term.list_of results) sk)
-  | "aggregate_all", 3 ->
-    Some
-      (fun args sk ->
-        match Bindings.walk t.binds args.(0) with
-        | Term.Compound ("count", [| tmpl |]) ->
-          let results = collect_all t tmpl args.(1) in
-          unify_then t args.(2) (Term.Int (List.length results)) sk
-        | Term.Compound ("sum", [| tmpl |]) ->
-          let results = collect_all t tmpl args.(1) in
-          let total =
-            List.fold_left
-              (fun acc r -> match r with Term.Int n -> acc + n | _ -> err "aggregate_all sum: non-integer")
-              0 results
-          in
-          unify_then t args.(2) (Term.Int total) sk
-        | Term.Atom "count" ->
-          let results = collect_all t (Term.Atom "x") args.(1) in
-          unify_then t args.(2) (Term.Int (List.length results)) sk
-        | _ -> err "aggregate_all/3: unsupported aggregate")
-  | "msort", 2 ->
-    Some
-      (fun args sk ->
-        match Term.to_list (Bindings.resolve t.binds args.(0)) with
-        | Some items -> unify_then t args.(1) (Term.list_of (List.sort Term.compare items)) sk
-        | None -> err "msort/2: not a list")
-  | "sort", 2 ->
-    Some
-      (fun args sk ->
-        match Term.to_list (Bindings.resolve t.binds args.(0)) with
-        | Some items -> unify_then t args.(1) (Term.list_of (List.sort_uniq Term.compare items)) sk
-        | None -> err "sort/2: not a list")
-  | "atom_concat", 3 ->
-    Some
-      (fun args sk ->
-        let atom_str term =
-          match Bindings.walk t.binds term with
-          | Term.Atom s -> Some s
-          | Term.Int n -> Some (string_of_int n)
-          | _ -> None
-        in
-        match (atom_str args.(0), atom_str args.(1)) with
-        | Some a, Some b -> unify_then t args.(2) (Term.Atom (a ^ b)) sk
-        | _ -> err "atom_concat/3: first two arguments must be atomic")
-  | "assertz", 1 ->
-    Some
-      (fun args sk ->
-        let term = Bindings.resolve t.binds args.(0) in
-        Db.assertz t.db (Parser.clause_of_term (renumber term));
-        sk ())
-  | "asserta", 1 ->
-    Some
-      (fun args sk ->
-        let term = Bindings.resolve t.binds args.(0) in
-        Db.asserta t.db (Parser.clause_of_term (renumber term));
-        sk ())
-  | "write", 1 ->
-    Some
-      (fun args sk ->
-        print_string (Term.to_string (Bindings.resolve t.binds args.(0)));
-        sk ())
-  | "nl", 0 ->
-    Some
-      (fun _ sk ->
-        print_newline ();
-        sk ())
-  | "call", n when n >= 1 && n <= 8 ->
-    Some
-      (fun args sk ->
-        let g = Bindings.walk t.binds args.(0) in
-        let extra = Array.sub args 1 (n - 1) in
-        let g' =
-          match g with
-          | Term.Atom f -> if n = 1 then g else Term.Compound (f, extra)
-          | Term.Compound (f, base) -> Term.Compound (f, Array.append base extra)
-          | _ -> err "call/%d: not callable" n
-        in
-        let frame = new_frame t in
-        try solve_goal t g' frame sk with Cut_signal id when id = frame -> ())
   | _ -> None
-
-and compare_builtin t pred args sk =
-  let c = Term.compare (Bindings.resolve t.binds args.(0)) (Bindings.resolve t.binds args.(1)) in
-  if pred c then sk ()
 
 and arith_builtin t pred args sk =
   if pred (eval_arith t args.(0)) (eval_arith t args.(1)) then sk ()
@@ -412,61 +202,16 @@ and collect_all t template goal =
   Bindings.undo_to t.binds m;
   List.rev !results
 
-(* Renumber a term's variables densely from 0 (for assert). *)
-and renumber term =
-  let mapping = Hashtbl.create 8 in
-  let next = ref 0 in
-  let rec go = function
-    | (Term.Atom _ | Term.Int _) as x -> x
-    | Term.Var i -> begin
-      match Hashtbl.find_opt mapping i with
-      | Some j -> Term.Var j
-      | None ->
-        let j = !next in
-        incr next;
-        Hashtbl.add mapping i j;
-        Term.Var j
-    end
-    | Term.Compound (f, args) -> Term.Compound (f, Array.map go args)
-  in
-  go term
-
 (* ------------------------------------------------------------------ *)
 (* Public driving API                                                  *)
 
-let solve_term t goal ~vars f =
+let all_solutions t src =
+  let goal, vars = Parser.parse_query src in
   (* Inject the parsed goal above any variables the engine has used. *)
   let base = Bindings.fresh t.binds in
   Bindings.reserve t.binds (base + Term.max_var goal + 1);
   let goal = Term.rename ~offset:base goal in
-  let vars = List.map (fun (name, id) -> (name, id + base)) vars in
-  let m = Bindings.mark t.binds in
-  let frame = new_frame t in
-  (try
-     solve_goal t goal frame (fun () ->
-         let bound = List.map (fun (name, id) -> (name, Bindings.resolve t.binds (Term.Var id))) vars in
-         match f bound with `Continue -> () | `Stop -> raise Stop_search)
-   with
-  | Stop_search -> ()
-  | Cut_signal id when id = frame -> ());
-  Bindings.undo_to t.binds m
-
-let query t src f =
-  let goal, vars = Parser.parse_query src in
-  solve_term t goal ~vars f
-
-let all_solutions t src =
-  let out = ref [] in
-  query t src (fun bindings ->
-      out := bindings :: !out;
-      `Continue);
-  List.rev !out
-
-let first_solution t src =
-  let out = ref None in
-  query t src (fun bindings ->
-      out := Some bindings;
-      `Stop);
-  !out
-
-let holds t src = first_solution t src <> None
+  let row = Term.list_of (List.map (fun (_, id) -> Term.Var (id + base)) vars) in
+  List.map
+    (fun r -> List.combine (List.map fst vars) (Option.get (Term.to_list r)))
+    (collect_all t row goal)

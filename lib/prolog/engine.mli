@@ -1,7 +1,12 @@
-(** SLD resolution engine with negation-as-failure, cut, if-then-else,
-    arithmetic, and the all-solutions builtins Kaskade's view templates
-    rely on ([findall/3], [setof/3], [between/3], ...). This is the
-    stand-in for SWI-Prolog in the paper's architecture (Fig. 2).
+(** SLD resolution engine for Kaskade's rule library ([Kaskade.Rules]):
+    the stand-in for SWI-Prolog in the paper's architecture (Fig. 2).
+
+    The clause language is conjunction, disjunction, if-then-else,
+    negation-as-failure ([\+]/[not]), cut and unification ([=]). The
+    only other builtins are the ones the constraint-mining rules and
+    view templates call: [is/2] over [+] and [-], [>/2], [>=/2],
+    [integer/1], [between/3] and [setof/3]. Calling an undefined
+    predicate fails silently, as the mining rules expect.
 
     A step budget guards against runaway recursion: every resolution
     step decrements it and {!Budget_exceeded} is raised at zero. The
@@ -15,41 +20,25 @@ exception Budget_exceeded of int
 (** Carries the configured budget. *)
 
 exception Runtime_error of string
-(** Type errors, unbound goals, bad arithmetic, unknown predicates
-    called in error mode, ... *)
+(** Unbound or non-callable goals and bad arithmetic. *)
 
-val create : ?step_limit:int -> ?unknown_fails:bool -> ?checkpoint:(unit -> unit) -> Db.t -> t
+val create : ?step_limit:int -> ?checkpoint:(unit -> unit) -> Db.t -> t
 (** [create db] builds an engine over the clause database. Default
-    step limit: 50 million. With [unknown_fails] (default [true]),
-    calling an undefined predicate fails silently, as most mining
-    rules expect; otherwise it raises {!Runtime_error}. [checkpoint]
-    (default: no-op) is called every 4096 resolution steps — the hook
-    external deadline budgets use to cancel a runaway enumeration; any
-    exception it raises propagates out of the solver. *)
+    step limit: 50 million. [checkpoint] (default: no-op) is called
+    every 4096 resolution steps — the hook external deadline budgets
+    use to cancel a runaway enumeration; any exception it raises
+    propagates out of the solver. *)
 
-val db : t -> Db.t
+val builtins : (string * int) list
+(** Name/arity of every predicate the engine defines itself, control
+    constructs included. *)
+
 val steps : t -> int
 (** Resolution steps consumed since creation. *)
 
 val reset_steps : t -> unit
 
-val query :
-  t -> string -> ((string * Term.t) list -> [ `Continue | `Stop ]) -> unit
-(** [query t src f] parses [src] as a goal and calls [f] with the
-    resolved bindings of the goal's named variables, once per
-    solution, until exhaustion or [`Stop]. *)
-
 val all_solutions : t -> string -> (string * Term.t) list list
-(** Every solution's named-variable bindings, in discovery order. *)
-
-val first_solution : t -> string -> (string * Term.t) list option
-
-val holds : t -> string -> bool
-(** True iff the goal has at least one solution. *)
-
-val solve_term :
-  t -> Term.t -> vars:(string * int) list -> ((string * Term.t) list -> [ `Continue | `Stop ]) -> unit
-(** Like {!query} for a pre-parsed goal with its variable map. *)
-
-val consult : t -> string -> unit
-(** Load additional program text into the engine's database. *)
+(** [all_solutions t src] parses [src] as a goal and returns the
+    resolved bindings of its named variables, once per solution, in
+    discovery order. *)

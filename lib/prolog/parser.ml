@@ -6,40 +6,16 @@ type assoc = Xfx | Xfy | Yfx
 
 let infix_ops =
   [ (":-", (1200, Xfx));
-    ("-->", (1200, Xfx));
     (";", (1100, Xfy));
     ("->", (1050, Xfy));
     (",", (1000, Xfy));
     ("=", (700, Xfx));
-    ("\\=", (700, Xfx));
-    ("==", (700, Xfx));
-    ("\\==", (700, Xfx));
-    ("@<", (700, Xfx));
-    ("@>", (700, Xfx));
-    ("@=<", (700, Xfx));
-    ("@>=", (700, Xfx));
     ("is", (700, Xfx));
-    ("=..", (700, Xfx));
-    ("<", (700, Xfx));
     (">", (700, Xfx));
-    ("=<", (700, Xfx));
     (">=", (700, Xfx));
-    ("=:=", (700, Xfx));
-    ("=\\=", (700, Xfx));
     ("+", (500, Yfx));
     ("-", (500, Yfx));
-    ("/\\", (500, Yfx));
-    ("\\/", (500, Yfx));
-    ("*", (400, Yfx));
-    ("/", (400, Yfx));
-    ("//", (400, Yfx));
-    ("mod", (400, Yfx));
-    ("rem", (400, Yfx));
-    (">>", (400, Yfx));
-    ("<<", (400, Yfx));
     ("^", (200, Xfy)) ]
-
-let prefix_ops = [ (":-", 1200); ("?-", 1200); ("\\+", 900); ("-", 200); ("+", 200) ]
 
 type state = {
   mutable toks : Lexer.token list;
@@ -131,20 +107,14 @@ and parse_primary st max_prec =
       advance st;
       let args = parse_args st in
       (Term.Compound (name, Array.of_list args), 0)
-    | tok -> begin
-      match List.assoc_opt name prefix_ops with
-      | Some prec when prec <= max_prec && starts_term tok -> begin
-        (* Negative integer literals. *)
-        match (name, tok) with
-        | "-", Lexer.INT n ->
-          advance st;
-          (Term.Int (-n), 0)
-        | _ ->
-          let arg = parse st (prec - 1) in
-          (Term.Compound (name, [| arg |]), prec)
-      end
-      | _ -> (Term.Atom name, 0)
-    end
+    | Lexer.INT n when name = "-" ->
+      (* Negative integer literal. *)
+      advance st;
+      (Term.Int (-n), 0)
+    | tok when name = "\\+" && max_prec >= 900 && starts_term tok ->
+      let arg = parse st 899 in
+      (Term.Compound (name, [| arg |]), 900)
+    | _ -> (Term.Atom name, 0)
   end
   | tok -> fail "unexpected token %s" (Lexer.pp_token tok)
 
@@ -191,15 +161,13 @@ and parse_list st =
     in
     more [ first ]
 
-let parse_term src =
+let parse_query src =
   let st = make_state (Lexer.tokenize src) in
   let t = parse st 1200 in
   (match peek st with
   | Lexer.EOF | Lexer.DOT -> ()
   | tok -> fail "trailing input after term: %s" (Lexer.pp_token tok));
   (t, List.rev st.var_order)
-
-let parse_query = parse_term
 
 let clause_of_term t =
   let head, body =

@@ -1,8 +1,9 @@
 (** Operator-precedence parser for Prolog terms and programs.
 
-    Handles the standard operator table (clause neck [:-], control
-    [;], [->], [,], negation [\+], comparison/arithmetic operators),
-    compound terms, and list syntax — enough to parse the paper's
+    Handles the operators Kaskade's rule library uses (clause neck
+    [:-], control [;], [->], [,], negation [\+], [=], [is], [>], [>=],
+    [+], [-] and the [setof] witness [^]), compound terms, negative
+    integer literals, and list syntax — enough to parse the paper's
     constraint-mining rules and view templates verbatim. *)
 
 exception Parse_error of string
@@ -13,8 +14,8 @@ type clause = {
   nvars : int;  (** Number of distinct variables; ids are [0..nvars-1]. *)
 }
 
-val parse_term : string -> Term.t * (string * int) list
-(** Parse a single term (no trailing dot required); also returns the
+val parse_query : string -> Term.t * (string * int) list
+(** Parse a single term (a trailing dot is optional); also returns the
     variable-name -> id mapping so callers can report bindings by
     name. Underscore variables are anonymous (each occurrence fresh)
     and omitted from the mapping. *)
@@ -22,9 +23,3 @@ val parse_term : string -> Term.t * (string * int) list
 val parse_program : string -> clause list
 (** Parse a sequence of dot-terminated clauses. A term [H :- B] yields
     head/body; any other term is a fact. *)
-
-val parse_query : string -> Term.t * (string * int) list
-(** Like {!parse_term} but tolerates a trailing dot. *)
-
-val clause_of_term : Term.t -> clause
-(** Split a (already-numbered) term into head/body. *)

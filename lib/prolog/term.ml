@@ -6,7 +6,6 @@ type t =
 
 let atom s = Atom s
 let int n = Int n
-let var i = Var i
 
 let compound f args = match args with [] -> Atom f | _ -> Compound (f, Array.of_list args)
 
@@ -29,26 +28,6 @@ let functor_of = function
 
 let args_of = function Compound (_, args) -> args | _ -> [||]
 
-let rec is_ground = function
-  | Atom _ | Int _ -> true
-  | Var _ -> false
-  | Compound (_, args) -> Array.for_all is_ground args
-
-let vars_of t =
-  let seen = Hashtbl.create 8 in
-  let out = ref [] in
-  let rec go = function
-    | Atom _ | Int _ -> ()
-    | Var i ->
-      if not (Hashtbl.mem seen i) then begin
-        Hashtbl.add seen i ();
-        out := i :: !out
-      end
-    | Compound (_, args) -> Array.iter go args
-  in
-  go t;
-  List.rev !out
-
 let rec max_var = function
   | Atom _ | Int _ -> -1
   | Var i -> i
@@ -58,20 +37,6 @@ let rec rename ~offset = function
   | (Atom _ | Int _) as t -> t
   | Var i -> Var (i + offset)
   | Compound (f, args) -> Compound (f, Array.map (rename ~offset) args)
-
-let rec equal a b =
-  match (a, b) with
-  | Atom x, Atom y -> String.equal x y
-  | Int x, Int y -> x = y
-  | Var x, Var y -> x = y
-  | Compound (f, xs), Compound (g, ys) ->
-    String.equal f g && Array.length xs = Array.length ys
-    && begin
-         let ok = ref true in
-         Array.iteri (fun i x -> if !ok && not (equal x ys.(i)) then ok := false) xs;
-         !ok
-       end
-  | _ -> false
 
 let order_rank = function Var _ -> 0 | Int _ -> 1 | Atom _ -> 2 | Compound _ -> 3
 

@@ -14,7 +14,6 @@ type t =
 
 val atom : string -> t
 val int : int -> t
-val var : int -> t
 val compound : string -> t list -> t
 (** [compound f args] is [Atom f] when [args] is empty. *)
 
@@ -30,9 +29,6 @@ val functor_of : t -> (string * int) option
 (** Name/arity of an atom or compound; [None] for variables and ints. *)
 
 val args_of : t -> t array
-val is_ground : t -> bool
-val vars_of : t -> int list
-(** Distinct variable ids, first-occurrence order. *)
 
 val max_var : t -> int
 (** Largest variable id occurring in the term, or [-1] if none. *)
@@ -40,10 +36,8 @@ val max_var : t -> int
 val rename : offset:int -> t -> t
 (** Shift every variable id by [offset] (clause renaming-apart). *)
 
-val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Standard order of terms: Var < Int < Atom < Compound, compounds by
     arity, then name, then args. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

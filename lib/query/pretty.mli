@@ -3,5 +3,4 @@
     display rewritten queries (paper Listing 4). *)
 
 val pattern_to_string : Ast.pattern -> string
-val match_to_string : Ast.match_block -> string
 val to_string : Ast.t -> string

@@ -367,6 +367,17 @@ let handle_connection t conn =
         (* Peer vanished mid-response; drop the connection, keep the
            server. *)
         ()
+      | exception e -> (
+        (* Any other exception the request raised, here or on the
+           worker that ran it, is answered and the connection goes on. *)
+        let reply =
+          match Error.of_exn e with
+          | Some err -> Wire.err err
+          | None -> Wire.err_msg ~label:"internal" (Printexc.to_string e)
+        in
+        match respond oc reply with
+        | () -> loop ()
+        | exception (Sys_error _ | Unix.Unix_error _) -> ())
     end
   in
   (* Whatever ends the loop, an exception included, the session slot
@@ -405,24 +416,28 @@ let start_sampler t =
   t.sampler <- Some th;
   Mutex.unlock t.hlock
 
-(* Minor heap, in words, of the domain that calls [run] while it
-   serves; OCaml's default is 256k. Every minor collection stops all
-   domains, and parked workers must wake to take part: on a 2-core VM
-   a collection took about 0.5 ms longer with two parked workers than
-   with none. UPDATE batches allocate on this domain, so a 4x heap
-   makes those pauses 4x rarer on the write path. *)
-let serving_minor_heap_words = 1 lsl 20
-
-let with_serving_minor_heap f =
-  let words = (Gc.get ()).Gc.minor_heap_size in
-  if words >= serving_minor_heap_words then f ()
-  else begin
-    Gc.set { (Gc.get ()) with Gc.minor_heap_size = serving_minor_heap_words };
-    Fun.protect ~finally:(fun () -> Gc.set { (Gc.get ()) with Gc.minor_heap_size = words }) f
-  end
+(* A 1M-word minor heap (OCaml's default is 256k) for the serving
+   domain. Every minor collection stops all domains, and parked workers
+   must wake to take part: on a 2-core VM a collection took about
+   0.5 ms longer with two parked workers than with none. UPDATE batches
+   allocate on the serving domain, so a 4x heap makes those pauses 4x
+   rarer on the write path. On OCaml 5.1, resizing the minor heap while
+   another thread of the domain runs can crash the runtime, so the heap
+   grows only when [run] is called on the main thread of the main
+   domain — where the CLI's [serve] and a forked server child call it,
+   before they start any other thread — and is never shrunk back. A
+   server run on another thread, as the tests run it beside their
+   clients, keeps the heap it has. *)
+let grow_minor_heap () =
+  let words = 1 lsl 20 in
+  if
+    Domain.is_main_domain ()
+    && Thread.id (Thread.self ()) = 0
+    && (Gc.get ()).Gc.minor_heap_size < words
+  then Gc.set { (Gc.get ()) with Gc.minor_heap_size = words }
 
 let run t =
-  with_serving_minor_heap @@ fun () ->
+  grow_minor_heap ();
   (* A server that cannot start its workers stops listening rather
      than leave clients waiting. *)
   let workers =
@@ -483,9 +498,3 @@ let run t =
   in
   (match sampler with Some th -> (try Thread.join th with _ -> ()) | None -> ());
   if Sys.file_exists t.socket_path then try Unix.unlink t.socket_path with Unix.Unix_error _ -> ()
-
-let serve ?max_sessions ?max_inflight ?max_queue ?deadline_s ?mode ?thresholds ?sample_every_s
-    ?timeseries_capacity ~socket ks =
-  run
-    (create ?max_sessions ?max_inflight ?max_queue ?deadline_s ?mode ?thresholds ?sample_every_s
-       ?timeseries_capacity ~socket ks)

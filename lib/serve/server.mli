@@ -9,10 +9,13 @@
     domains ({!Session.dispatch}) while the connection thread waits,
     so concurrent connections use separate cores.
 
-    Failure containment: every per-connection failure — protocol
-    violations, query errors, [Unix.Unix_error] from a dropped peer —
-    is answered as an [ERR] line or ends that connection only; the
-    accept loop survives anything but {!shutdown}. A request line
+    Failure containment: a protocol violation, a query error or any
+    other exception a request raises, on its connection thread or on
+    the worker that ran it, is answered as an [ERR] line (label
+    [internal] when [Kaskade.Error.of_exn] does not classify the
+    exception) and the connection keeps serving; a failed socket read
+    or write ends that connection only. The accept loop survives
+    anything but a [SHUTDOWN] request. A request line
     longer than 1 MiB is answered [ERR label=proto] and closes its
     connection. A handler leaves the server's table when its
     connection ends; [STATS] reports the live count as
@@ -45,16 +48,12 @@ val create :
     permissions). *)
 
 val run : t -> unit
-(** Accept loop; blocks until a client sends [SHUTDOWN] or
-    {!shutdown} is called, then waits for open connection handlers
+(** Accept loop; blocks until a client sends [SHUTDOWN], then waits for open connection handlers
     (and the time-series sampler thread) to drain, joins the worker
     domains and removes the socket file. Starts the workers
     ({!Session.start_workers}; if that fails, the server stops
     listening and the exception propagates) and the sampler: one
     immediate baseline sample, then one per [sample_every_s]. *)
-
-val shutdown : t -> unit
-(** Ask a running {!run} to stop (thread-safe, idempotent). *)
 
 val manager : t -> Session.manager
 
@@ -62,17 +61,3 @@ val timeseries : t -> Kaskade_obs.Timeseries.t
 (** The server's sampler ring — what [HEALTH] reads its windowed
     qps/shed-rate from, exported for the bench drill and for dumping
     with [Timeseries.save] after {!run} returns. *)
-
-val serve :
-  ?max_sessions:int ->
-  ?max_inflight:int ->
-  ?max_queue:int ->
-  ?deadline_s:float ->
-  ?mode:Kaskade_exec.Executor.mode ->
-  ?thresholds:Kaskade_obs.Health.thresholds ->
-  ?sample_every_s:float ->
-  ?timeseries_capacity:int ->
-  socket:string ->
-  Kaskade.t ->
-  unit
-(** [create] + [run]. *)

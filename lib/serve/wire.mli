@@ -52,10 +52,6 @@ val parse_request : string -> (request, string) result
 (** Parse one request line (already newline-stripped). [Error] is a
     human-readable reason for the [ERR] response. *)
 
-val parse_op : string -> (Kaskade.Update.op, string) result
-(** One [insert-vertex:...] / [insert-edge:...] / [delete-edge:...]
-    spec (the CLI's [--random]-free update syntax). *)
-
 val render_result : Kaskade_graph.Graph.t -> Kaskade_exec.Executor.result -> string
 (** Canonical text rendering: [Row.pp] output for tables (the same
     bytes the CLI prints), ["affected N"] for procedure results. The

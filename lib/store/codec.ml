@@ -158,7 +158,6 @@ type reader = { s : string; file : string; mutable pos : int }
 
 let reader ~file s = { s; file; pos = 0 }
 let pos r = r.pos
-let length r = String.length r.s
 let corrupt r reason = raise (Corrupt { file = r.file; reason })
 
 (* A read past the valid bytes is [End_of_file] — the signal torn-tail

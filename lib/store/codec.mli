@@ -33,28 +33,15 @@ val add_u8 : Buffer.t -> int -> unit
 val add_u32 : Buffer.t -> int -> unit
 (** Raises [Invalid_argument] outside [[0, 2^32)]. *)
 
-val add_i32 : Buffer.t -> int -> unit
-(** Raises [Invalid_argument] outside signed 32-bit range. *)
-
 val add_i64 : Buffer.t -> int -> unit
 val add_f64 : Buffer.t -> float -> unit
-val add_str : Buffer.t -> string -> unit
-val add_u32_array : Buffer.t -> int array -> unit
 val add_i32_array : Buffer.t -> int array -> unit
 
-val add_value : Buffer.t -> Kaskade_graph.Value.t -> unit
-val add_props : Buffer.t -> (string * Kaskade_graph.Value.t) list -> unit
-val add_op : Buffer.t -> Kaskade_graph.Graph.Overlay.op -> unit
 val add_ops : Buffer.t -> Kaskade_graph.Graph.Overlay.op list -> unit
-val add_schema : Buffer.t -> Kaskade_graph.Schema.t -> unit
-
-val add_props_table : Buffer.t -> Kaskade_graph.Props.t -> unit
-(** Column-oriented: per property name, the (entity id, value) pairs
-    present. *)
 
 val add_graph : Buffer.t -> Kaskade_graph.Graph.t -> unit
 (** Schema + flat topology arrays ([Graph.internal_arrays]) + both
-    property tables — everything {!read_graph} needs to rebuild the
+    property tables — everything {!graph} needs to rebuild the
     frozen CSR via [Graph.of_arrays]. *)
 
 val add_view : Buffer.t -> Kaskade_views.View.t -> unit
@@ -68,27 +55,18 @@ val reader : file:string -> string -> reader
 (** [file] is used in error messages only. *)
 
 val pos : reader -> int
-val length : reader -> int
 val corrupt : reader -> string -> 'a
 (** Raise {!Corrupt} for this reader's file. *)
 
 val u8 : reader -> int
 val u32 : reader -> int
-val i32 : reader -> int
 val i64 : reader -> int
 val f64 : reader -> float
-val str : reader -> string
 val sub : reader -> int -> string
 (** Next [n] raw bytes. *)
 
-val u32_array : reader -> int array
 val i32_array : reader -> int array
-val value : reader -> Kaskade_graph.Value.t
-val props : reader -> (string * Kaskade_graph.Value.t) list
-val op : reader -> Kaskade_graph.Graph.Overlay.op
 val ops : reader -> Kaskade_graph.Graph.Overlay.op list
-val schema : reader -> Kaskade_graph.Schema.t
-val props_table : reader -> Kaskade_graph.Props.t
 val graph : reader -> Kaskade_graph.Graph.t
 val view : reader -> Kaskade_views.View.t
 (** Tag 0 is a k-hop connector and tags 10-13 the four type filters.

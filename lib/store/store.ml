@@ -47,8 +47,6 @@ let open_ ?fsync_policy ?(snapshot_every = 512) dir =
     snapshot_seq = (match snapshot_seqs dir with seq :: _ -> seq | [] -> -1);
   }
 
-let dir t = t.dir
-let wal t = t.wal
 let last_seq t = Wal.last_seq t.wal
 let snapshot_seq t = t.snapshot_seq
 

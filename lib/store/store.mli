@@ -29,9 +29,6 @@ val open_ : ?fsync_policy:Wal.fsync_policy -> ?snapshot_every:int -> string -> t
     (default 512) is the append count after which {!should_snapshot}
     turns true; [0] disables automatic snapshots. *)
 
-val dir : t -> string
-val wal : t -> Wal.t
-
 val last_seq : t -> int
 (** Sequence number of the last durable WAL record. *)
 
@@ -57,7 +54,6 @@ val write_snapshot :
     cadence counter, and return its path. Older snapshots are kept —
     they are the fallback when the newest is damaged. *)
 
-val wal_path : string -> string
 val snapshot_path : string -> int -> string
 
 val close : t -> unit

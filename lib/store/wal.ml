@@ -45,7 +45,6 @@ type t = {
   truncated : int;
 }
 
-let path t = t.path
 let last_seq t = t.seq
 let truncated_records t = t.truncated
 
@@ -160,10 +159,6 @@ let append t ops =
     if t.unsynced >= n then fsync_count t
   | Never -> ());
   seq
-
-let sync t =
-  flush t.oc;
-  fsync_count t
 
 let close t =
   flush t.oc;

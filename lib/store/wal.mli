@@ -46,7 +46,6 @@ val open_ : ?fsync_policy:fsync_policy -> string -> t
     validated; a torn tail is truncated off the file before the handle
     is positioned for append. Default policy is [Always]. *)
 
-val path : t -> string
 val last_seq : t -> int
 (** Sequence number of the last durable record (0 when empty). *)
 
@@ -57,9 +56,6 @@ val append : t -> Kaskade_graph.Graph.Overlay.op list -> int
 (** Append one batch and return its sequence number, syncing per the
     policy. The record is fully written (and, under [Always], fsynced)
     before return. *)
-
-val sync : t -> unit
-(** Force an fsync regardless of policy. *)
 
 val close : t -> unit
 (** Flush, fsync (unless the policy is [Never]) and close. *)

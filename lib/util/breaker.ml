@@ -36,7 +36,6 @@ let record_failure t =
   opens
 
 let failures t = t.failures
-let threshold t = t.threshold
 
 let describe t =
   match state t with

@@ -37,8 +37,6 @@ val record_failure : t -> bool
 val failures : t -> int
 (** Current consecutive-failure streak. *)
 
-val threshold : t -> int
-
 val describe : t -> string
 (** One-line state for EXPLAIN output: ["closed"],
     ["open (3 failures, 27.1s cooldown left)"] or

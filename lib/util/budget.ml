@@ -83,8 +83,6 @@ let add_rows b stage n =
     t.rows <- t.rows + n;
     check_rows t stage
 
-let steps_used t = t.steps
-let rows_used t = t.rows
 let remaining_steps t = Option.map (fun m -> Stdlib.max 0 (m - t.steps)) t.max_steps
 let elapsed_s t = Mclock.elapsed_s ~since:t.t0_ns
 let deadline_s t = t.deadline_s

@@ -56,9 +56,6 @@ val create : ?deadline_s:float -> ?max_steps:int -> ?max_rows:int -> unit -> t
     unlimited; [create ()] never exhausts but still counts (useful for
     observing cost). *)
 
-val clock_period : int
-(** Step cost accumulated between deadline clock reads (256). *)
-
 (** {1 Checkpoints}
 
     All take [t option]; [None] is a no-op. *)
@@ -78,11 +75,8 @@ val add_rows : t option -> stage -> int -> unit
 
 (** {1 Introspection} *)
 
-val steps_used : t -> int
-val rows_used : t -> int
-
 val remaining_steps : t -> int option
-(** [max_steps - steps_used], clamped at 0; [None] when uncapped. Used
+(** Steps left under the cap, clamped at 0; [None] when uncapped. Used
     to map the budget onto sub-engines with their own step limits
     (e.g. the Prolog enumerator). *)
 

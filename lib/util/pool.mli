@@ -48,10 +48,6 @@ val effective_workers : t -> int
 (** The width {!map_morsels} will actually use: [domains t], capped at
     the hardware parallelism unless the pool oversubscribes. *)
 
-val default_domains : unit -> int
-(** [KASKADE_DOMAINS] when set to a positive integer, otherwise
-    [Domain.recommended_domain_count ()], capped at 8. *)
-
 val default : unit -> t
 (** Memoized pool of {!default_domains} width. When [KASKADE_DOMAINS]
     is set the pool oversubscribes: an explicit width is honored even

@@ -8,7 +8,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
 
 let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;
@@ -38,7 +37,6 @@ let float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   bound *. (r /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 (* Bounded-Pareto inverse CDF on [1, n+1), floored to ranks 1..n. This
    yields P(K = k) ~ k^-s, which is what the power-law degree

@@ -11,9 +11,6 @@ val create : int -> t
 (** [create seed] returns a fresh generator. Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** Independent copy of the current state. *)
-
 val next_int64 : t -> int64
 (** Next raw 64-bit output of SplitMix64. *)
 
@@ -26,9 +23,6 @@ val int_in : t -> int -> int -> int
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
-(** Fair coin. *)
 
 val zipf : t -> n:int -> s:float -> int
 (** [zipf t ~n ~s] samples from a Zipf distribution with exponent [s]

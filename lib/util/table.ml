@@ -52,6 +52,5 @@ let fmt_int n =
     s;
   Buffer.contents buf
 
-let fmt_float ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
 
 let fmt_sci x = Printf.sprintf "%.1e" x

@@ -12,6 +12,5 @@ val print : ?aligns:align list -> header:string list -> string list list -> unit
 val fmt_int : int -> string
 (** Thousands separators: [fmt_int 1234567 = "1,234,567"]. *)
 
-val fmt_float : ?decimals:int -> float -> string
 val fmt_sci : float -> string
 (** Scientific notation with two significant decimals, e.g. ["3.1e+06"]. *)

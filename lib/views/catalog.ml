@@ -7,7 +7,6 @@ let freshness_label = function
   | Stale ops -> Printf.sprintf "stale(%d ops)" (List.length ops)
   | Rebuilding -> "rebuilding"
 
-let pp_freshness fmt f = Format.pp_print_string fmt (freshness_label f)
 
 type entry = {
   materialized : Materialize.materialized;
@@ -33,15 +32,9 @@ let add t (m : Materialize.materialized) =
 
 let find_by_name t name = Hashtbl.find_opt t.entries name
 let find t view = find_by_name t (View.name view)
-let mem t view = Hashtbl.mem t.entries (View.name view)
-
 let entries t =
   Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
   |> List.sort (fun a b -> View.compare a.materialized.view b.materialized.view)
-
-let total_size_edges t = Hashtbl.fold (fun _ e acc -> acc + e.size_edges) t.entries 0
-
-let remove t view = Hashtbl.remove t.entries (View.name view)
 
 let mark_stale t ops =
   if ops <> [] then
@@ -86,5 +79,3 @@ let finish_refresh t e (m : Materialize.materialized) =
 
 let n_stale t =
   Hashtbl.fold (fun _ e acc -> match e.freshness with Fresh -> acc | _ -> acc + 1) t.entries 0
-
-let stale t = entries t |> List.filter (fun e -> e.freshness <> Fresh)

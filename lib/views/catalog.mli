@@ -20,10 +20,8 @@ type freshness =
   | Rebuilding
       (** A refresh is in flight; the view graph is the pre-delta one. *)
 
-val pp_freshness : Format.formatter -> freshness -> unit
-(** ["fresh"], ["stale(<n> ops)"] or ["rebuilding"]. *)
-
 val freshness_label : freshness -> string
+(** ["fresh"], ["stale(<n> ops)"] or ["rebuilding"]. *)
 
 type entry = {
   materialized : Materialize.materialized;
@@ -42,12 +40,8 @@ val add : t -> Materialize.materialized -> unit
 
 val find : t -> View.t -> entry option
 val find_by_name : t -> string -> entry option
-val mem : t -> View.t -> bool
 val entries : t -> entry list
 (** Sorted by view name. *)
-
-val total_size_edges : t -> int
-val remove : t -> View.t -> unit
 
 (** {2 Freshness transitions} *)
 
@@ -75,6 +69,3 @@ val finish_refresh : t -> entry -> Materialize.materialized -> unit
 
 val n_stale : t -> int
 (** Entries whose freshness is not [Fresh]. *)
-
-val stale : t -> entry list
-(** The non-[Fresh] entries, sorted by view name. *)

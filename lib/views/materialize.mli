@@ -31,7 +31,7 @@ val materialize :
     carries the path multiplicity in an integer [paths] property.
     [dedupe:false] keeps one edge per path — faithful to the paper's
     size analysis, but exponential on dense graphs; prefer counting
-    via [Kaskade_algo.Paths] for sizes.
+    via [Kaskade_graph.Paths] for sizes.
 
     [pool] (default {!Kaskade_util.Pool.default}) fans the per-source
     traversals of connector views out over its domains. Parallelism is

@@ -35,5 +35,4 @@ let describe = function
   | Summarizer (Edge_removal types) ->
     "edge-removal summarizer dropping {" ^ String.concat ", " types ^ "}"
 
-let equal a b = name a = name b
 let compare a b = String.compare (name a) (name b)

@@ -32,5 +32,4 @@ val connector_edge_type : connector -> string
 val describe : t -> string
 (** Human-readable one-liner (bench output, catalogs). *)
 
-val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -1,14 +1,13 @@
 open Kaskade_graph
-open Kaskade_algo
+open Kaskade_exec
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let homo_schema = Schema.define ~vertices:[ "V" ] ~edges:[ ("V", "E", "V") ]
 
-(* Build a homogeneous digraph from an edge list, optionally stamping a
-   [timestamp] property per edge. *)
-let graph_of_edges ?(n = 0) ?(timestamps = []) edges =
+(* Build a homogeneous digraph from an edge list. *)
+let graph_of_edges ?(n = 0) edges =
   let n =
     List.fold_left (fun acc (s, d) -> Stdlib.max acc (Stdlib.max s d + 1)) n edges
   in
@@ -16,61 +15,8 @@ let graph_of_edges ?(n = 0) ?(timestamps = []) edges =
   for _ = 1 to n do
     ignore (Builder.add_vertex b ~vtype:"V" ())
   done;
-  List.iteri
-    (fun i (s, d) ->
-      let props =
-        match List.nth_opt timestamps i with Some t -> [ ("timestamp", Value.Int t) ] | None -> []
-      in
-      ignore (Builder.add_edge b ~src:s ~dst:d ~etype:"E" ~props ()))
-    edges;
+  List.iter (fun (s, d) -> ignore (Builder.add_edge b ~src:s ~dst:d ~etype:"E" ())) edges;
   Graph.freeze b
-
-(* A 6-vertex DAG: 0->1->2->3, 0->4, 4->3, 5 isolated. *)
-let dag () = graph_of_edges ~n:6 [ (0, 1); (1, 2); (2, 3); (0, 4); (4, 3) ]
-
-(* ------------------------------------------------------------------ *)
-(* Traverse                                                            *)
-
-let test_bfs_levels () =
-  let g = dag () in
-  let dist = Traverse.bfs_levels g ~src:0 () in
-  Alcotest.(check (array int)) "distances" [| 0; 1; 2; 2; 1; -1 |] dist
-
-let test_bfs_max_hops () =
-  let g = dag () in
-  let dist = Traverse.bfs_levels g ~src:0 ~max_hops:1 () in
-  Alcotest.(check (array int)) "one hop" [| 0; 1; -1; -1; 1; -1 |] dist
-
-let test_bfs_backward () =
-  let g = dag () in
-  let dist = Traverse.bfs_levels g ~src:3 ~dir:Traverse.In () in
-  check_int "ancestor at 2 hops" 2 dist.(1);
-  (* 0 reaches 3 both via 0-1-2-3 and the shortcut 0-4-3. *)
-  check_int "root distance" 2 dist.(0)
-
-let test_bfs_both () =
-  let g = graph_of_edges ~n:3 [ (0, 1); (2, 1) ] in
-  let dist = Traverse.bfs_levels g ~src:0 ~dir:Traverse.Both () in
-  check_int "via undirected" 2 dist.(2)
-
-let test_descendants_ancestors () =
-  let g = dag () in
-  Alcotest.(check (list int)) "descendants" [ 1; 2; 3; 4 ] (Traverse.descendants g ~src:0 ~max_hops:8);
-  Alcotest.(check (list int)) "ancestors of 3" [ 0; 1; 2; 4 ] (Traverse.ancestors g ~src:3 ~max_hops:8);
-  Alcotest.(check (list int)) "capped" [ 1; 4 ] (Traverse.descendants g ~src:0 ~max_hops:1)
-
-let test_endpoints_in_range () =
-  let g = dag () in
-  let pairs = Traverse.endpoints_in_range g ~src:0 ~lo:2 ~hi:2 () in
-  Alcotest.(check (list (pair int int))) "exactly two hops" [ (2, 2); (3, 2) ] pairs;
-  let with_self = Traverse.endpoints_in_range g ~src:0 ~lo:0 ~hi:1 () in
-  check_bool "lo=0 includes source" true (List.mem (0, 0) with_self)
-
-let test_max_timestamp_paths () =
-  (* 0 -(t=5)-> 1 -(t=2)-> 2: max along path to 2 is 5. *)
-  let g = graph_of_edges ~n:3 ~timestamps:[ 5; 2 ] [ (0, 1); (1, 2) ] in
-  let result = Traverse.max_timestamp_paths g ~src:0 ~max_hops:4 ~prop:"timestamp" in
-  Alcotest.(check (list (pair int int))) "max carried" [ (1, 5); (2, 5) ] result
 
 (* ------------------------------------------------------------------ *)
 (* Paths                                                               *)
@@ -204,18 +150,6 @@ let test_largest_community_typed () =
   check_bool "members nonempty" true (members <> [])
 
 (* ------------------------------------------------------------------ *)
-(* Connectivity                                                        *)
-
-let test_components () =
-  let g = graph_of_edges ~n:6 [ (0, 1); (1, 2); (3, 4) ] in
-  check_int "three components" 3 (Connectivity.n_components g)
-
-let test_sources_sinks () =
-  let g = dag () in
-  Alcotest.(check (list int)) "sources" [ 0; 5 ] (Connectivity.sources g);
-  Alcotest.(check (list int)) "sinks" [ 3; 5 ] (Connectivity.sinks g)
-
-(* ------------------------------------------------------------------ *)
 (* Degree distribution                                                 *)
 
 let test_degree_report () =
@@ -236,16 +170,6 @@ let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_k_walks_match_mat
 let () =
   Alcotest.run "kaskade_algo"
     [
-      ( "traverse",
-        [
-          Alcotest.test_case "bfs levels" `Quick test_bfs_levels;
-          Alcotest.test_case "bfs max hops" `Quick test_bfs_max_hops;
-          Alcotest.test_case "bfs backward" `Quick test_bfs_backward;
-          Alcotest.test_case "bfs undirected" `Quick test_bfs_both;
-          Alcotest.test_case "descendants/ancestors" `Quick test_descendants_ancestors;
-          Alcotest.test_case "endpoints in range" `Quick test_endpoints_in_range;
-          Alcotest.test_case "max timestamp paths (Q4)" `Quick test_max_timestamp_paths;
-        ] );
       ( "paths",
         [
           Alcotest.test_case "walks on a line" `Quick test_count_k_walks_line;
@@ -262,11 +186,6 @@ let () =
           Alcotest.test_case "community sizes" `Quick test_community_sizes;
           Alcotest.test_case "largest community (Q8)" `Quick test_largest_community;
           Alcotest.test_case "largest community typed" `Quick test_largest_community_typed;
-        ] );
-      ( "connectivity",
-        [
-          Alcotest.test_case "components" `Quick test_components;
-          Alcotest.test_case "sources/sinks" `Quick test_sources_sinks;
         ] );
       ( "degree_dist",
         [

@@ -40,9 +40,12 @@ let view_names (e : K.Enumerate.enumeration) =
 (* ------------------------------------------------------------------ *)
 (* Facts (paper §IV-A1)                                                *)
 
+let facts_to_string facts =
+  String.concat "\n" (List.map (fun t -> Kaskade_prolog.Term.to_string t ^ ".") facts)
+
 let test_query_facts_listing1 () =
   let facts = K.Facts.query_facts lineage_schema q1 in
-  let s = K.Facts.facts_to_string facts in
+  let s = facts_to_string facts in
   let contains needle = string_contains s needle in
   (* The exact facts of §IV-A1. *)
   List.iter
@@ -55,11 +58,11 @@ let test_query_facts_listing1 () =
 
 let test_query_facts_returned () =
   let facts = K.Facts.query_facts lineage_schema q1 in
-  let s = K.Facts.facts_to_string facts in
+  let s = facts_to_string facts in
   check_bool "q_j1 projected" true (string_contains s "queryReturned(q_j1).")
 
 let test_schema_facts () =
-  let s = K.Facts.facts_to_string (K.Facts.schema_facts lineage_schema) in
+  let s = facts_to_string (K.Facts.schema_facts lineage_schema) in
   List.iter
     (fun f ->
       check_bool f true (string_contains s f))
@@ -69,7 +72,7 @@ let test_schema_facts () =
 let test_homogeneous_untyped_vars_typed () =
   let homo = Schema.define ~vertices:[ "V" ] ~edges:[ ("V", "LINK", "V") ] in
   let q = K.parse "MATCH (a)-[r*1..4]->(b) RETURN a, b" in
-  let s = K.Facts.facts_to_string (K.Facts.query_facts homo q) in
+  let s = facts_to_string (K.Facts.query_facts homo q) in
   check_bool "a typed V" true (string_contains s "queryVertexType(a, 'V')")
 
 (* ------------------------------------------------------------------ *)
@@ -166,32 +169,202 @@ let test_enumeration_homogeneous () =
   Alcotest.(check (list int)) "every k > 1 feasible" [ 2; 3; 4 ] (List.sort compare khops)
 
 
+(* Candidate names and inference steps of every Table IV query (Q1 on
+   prov only) and of the schema-only ablation at max K 2 and 4, on the
+   four generators' schemas. A change to the rules, the facts or the
+   engine that moves any of them shows here. *)
+let enumeration_pins =
+  [
+    ( "prov Q1",
+      3222,
+      [ "JOB_TO_JOB_2HOP"; "JOB_TO_JOB_4HOP"; "JOB_TO_JOB_6HOP"; "JOB_TO_JOB_8HOP";
+        "JOB_TO_JOB_10HOP"; "KEEP_V_FILE_JOB" ] );
+    ( "prov Q2",
+      645,
+      [ "JOB_TO_JOB_2HOP"; "JOB_TO_JOB_4HOP"; "KEEP_V_FILE_JOB" ] );
+    ( "prov Q3",
+      645,
+      [ "JOB_TO_JOB_2HOP"; "JOB_TO_JOB_4HOP"; "KEEP_V_FILE_JOB" ] );
+    ( "prov Q4",
+      168,
+      [ "KEEP_V_JOB" ] );
+    ( "prov max_k=2",
+      1412,
+      [ "JOB_TO_JOB_2HOP"; "JOB_TO_FILE_1HOP"; "JOB_TO_TASK_1HOP"; "JOB_TO_MACHINE_2HOP";
+        "FILE_TO_JOB_1HOP"; "FILE_TO_FILE_2HOP"; "FILE_TO_TASK_2HOP"; "TASK_TO_MACHINE_1HOP";
+        "USER_TO_JOB_1HOP"; "USER_TO_FILE_2HOP"; "USER_TO_TASK_2HOP" ] );
+    ( "prov max_k=4",
+      4414,
+      [ "JOB_TO_JOB_2HOP"; "JOB_TO_JOB_4HOP"; "JOB_TO_FILE_1HOP"; "JOB_TO_FILE_3HOP";
+        "JOB_TO_TASK_1HOP"; "JOB_TO_TASK_3HOP"; "JOB_TO_MACHINE_2HOP"; "JOB_TO_MACHINE_4HOP";
+        "FILE_TO_JOB_1HOP"; "FILE_TO_JOB_3HOP"; "FILE_TO_FILE_2HOP"; "FILE_TO_FILE_4HOP";
+        "FILE_TO_TASK_2HOP"; "FILE_TO_TASK_4HOP"; "FILE_TO_MACHINE_3HOP"; "TASK_TO_MACHINE_1HOP";
+        "USER_TO_JOB_1HOP"; "USER_TO_JOB_3HOP"; "USER_TO_FILE_2HOP"; "USER_TO_FILE_4HOP";
+        "USER_TO_TASK_2HOP"; "USER_TO_TASK_4HOP"; "USER_TO_MACHINE_3HOP" ] );
+    ( "dblp Q2",
+      563,
+      [ "AUTHOR_TO_AUTHOR_2HOP"; "AUTHOR_TO_AUTHOR_4HOP"; "KEEP_V_AUTHOR_PUB" ] );
+    ( "dblp Q3",
+      563,
+      [ "AUTHOR_TO_AUTHOR_2HOP"; "AUTHOR_TO_AUTHOR_4HOP"; "KEEP_V_AUTHOR_PUB" ] );
+    ( "dblp Q4",
+      168,
+      [ "KEEP_V_AUTHOR" ] );
+    ( "dblp max_k=2",
+      465,
+      [ "AUTHOR_TO_AUTHOR_2HOP"; "AUTHOR_TO_PUB_1HOP"; "AUTHOR_TO_VENUE_2HOP"; "PUB_TO_AUTHOR_1HOP";
+        "PUB_TO_PUB_2HOP"; "PUB_TO_VENUE_1HOP" ] );
+    ( "dblp max_k=4",
+      1344,
+      [ "AUTHOR_TO_AUTHOR_2HOP"; "AUTHOR_TO_AUTHOR_4HOP"; "AUTHOR_TO_PUB_1HOP";
+        "AUTHOR_TO_PUB_3HOP"; "AUTHOR_TO_VENUE_2HOP"; "AUTHOR_TO_VENUE_4HOP"; "PUB_TO_AUTHOR_1HOP";
+        "PUB_TO_AUTHOR_3HOP"; "PUB_TO_PUB_2HOP"; "PUB_TO_PUB_4HOP"; "PUB_TO_VENUE_1HOP";
+        "PUB_TO_VENUE_3HOP" ] );
+    ( "soc Q2",
+      520,
+      [ "V_TO_V_2HOP"; "V_TO_V_3HOP"; "V_TO_V_4HOP" ] );
+    ( "soc Q3",
+      520,
+      [ "V_TO_V_2HOP"; "V_TO_V_3HOP"; "V_TO_V_4HOP" ] );
+    ( "soc Q4",
+      528,
+      [ "V_TO_V_2HOP"; "V_TO_V_3HOP"; "V_TO_V_4HOP" ] );
+    ( "soc max_k=2",
+      55,
+      [ "V_TO_V_1HOP"; "V_TO_V_2HOP" ] );
+    ( "soc max_k=4",
+      140,
+      [ "V_TO_V_1HOP"; "V_TO_V_2HOP"; "V_TO_V_3HOP"; "V_TO_V_4HOP" ] );
+    ( "road Q2",
+      520,
+      [ "V_TO_V_2HOP"; "V_TO_V_3HOP"; "V_TO_V_4HOP" ] );
+    ( "road Q3",
+      520,
+      [ "V_TO_V_2HOP"; "V_TO_V_3HOP"; "V_TO_V_4HOP" ] );
+    ( "road Q4",
+      528,
+      [ "V_TO_V_2HOP"; "V_TO_V_3HOP"; "V_TO_V_4HOP" ] );
+    ( "road max_k=2",
+      55,
+      [ "V_TO_V_1HOP"; "V_TO_V_2HOP" ] );
+    ( "road max_k=4",
+      140,
+      [ "V_TO_V_1HOP"; "V_TO_V_2HOP"; "V_TO_V_3HOP"; "V_TO_V_4HOP" ] );
+  ]
+
+let test_enumeration_pinned () =
+  let q2_q4 l =
+    [ Printf.sprintf "MATCH (s:%s)<-[r*1..4]-(anc:%s) RETURN s, anc" l l;
+      Printf.sprintf "MATCH (s:%s)-[r*1..4]->(desc:%s) RETURN s, desc" l l;
+      Printf.sprintf
+        "SELECT s, n, MAX(r) FROM (MATCH (s:%s)-[r*1..4]->(n) RETURN s, n, r) GROUP BY s, n" l ]
+  in
+  let runs (name, schema, queries) =
+    let first = if name = "prov" then 1 else 2 in
+    List.mapi
+      (fun i q -> (Printf.sprintf "%s Q%d" name (first + i), K.Enumerate.enumerate schema (K.parse q)))
+      queries
+    @ List.map
+        (fun max_k ->
+          ( Printf.sprintf "%s max_k=%d" name max_k,
+            K.Enumerate.enumerate_unconstrained schema ~max_k ))
+        [ 2; 4 ]
+  in
+  let actual =
+    List.concat_map runs
+      [ ("prov", prov_schema, q1_text :: q2_q4 "Job");
+        ("dblp", Kaskade_gen.Dblp_gen.schema, q2_q4 "Author");
+        ("soc", Kaskade_gen.Powerlaw_gen.schema, q2_q4 "V");
+        ("road", Kaskade_gen.Road_gen.schema, q2_q4 "V") ]
+  in
+  Alcotest.(check (list string)) "runs" (List.map (fun (n, _, _) -> n) enumeration_pins)
+    (List.map fst actual);
+  List.iter2
+    (fun (name, steps, names) (_, e) ->
+      Alcotest.(check (list string)) (name ^ " candidates") names (view_names e);
+      check_int (name ^ " inference steps") steps e.K.Enumerate.inference_steps)
+    enumeration_pins actual
+
 (* ------------------------------------------------------------------ *)
 (* Rule library semantics (paper Listings 2 and 6)                     *)
 
 let engine_for schema query =
   let facts = K.Facts.query_facts schema query @ K.Facts.schema_facts schema in
-  let db = Kaskade_prolog.Prelude.db_with_prelude () in
+  let db = Kaskade_prolog.Db.create () in
   Kaskade_prolog.Db.load db K.Rules.all;
   K.Facts.assert_all db facts;
   Kaskade_prolog.Engine.create db
 
+let holds_in e goal = Kaskade_prolog.Engine.all_solutions e goal <> []
+
+let test_rules_member () =
+  let e = engine_for lineage_schema q1 in
+  Alcotest.(check (list string)) "member enumerates" [ "1"; "2"; "3" ]
+    (List.map
+       (fun b -> Kaskade_prolog.Term.to_string (List.assoc "X" b))
+       (Kaskade_prolog.Engine.all_solutions e "member(X, [1, 2, 3])"));
+  check_bool "member checks" true (holds_in e "member(b, [a, b])");
+  check_bool "member rejects" false (holds_in e "member(c, [a, b])")
+
+(* The rule base holds no dead rule and calls nothing the engine
+   lacks: every predicate it defines is reachable from the four goals
+   Enumerate queries, and every predicate it calls is defined there,
+   asserted by Facts, or an engine builtin. A missing builtin would
+   otherwise fail silently, as undefined predicates do. *)
+let test_rules_closed () =
+  let module P = Kaskade_prolog in
+  let key = function
+    | P.Term.Atom f -> (f, 0)
+    | P.Term.Compound (f, args) -> (f, Array.length args)
+    | t -> Alcotest.failf "not callable: %s" (P.Term.to_string t)
+  in
+  let rec strip_witness = function
+    | P.Term.Compound ("^", [| _; g |]) -> strip_witness g
+    | g -> g
+  in
+  let rec calls acc goal =
+    let acc = key goal :: acc in
+    match goal with
+    | P.Term.Compound ((("," | ";" | "->"), [| a; b |])) -> calls (calls acc a) b
+    | P.Term.Compound (("\\+" | "not"), [| g |]) -> calls acc g
+    | P.Term.Compound ("setof", [| _; g; _ |]) -> calls acc (strip_witness g)
+    | _ -> acc
+  in
+  let clauses = P.Parser.parse_program (K.Rules.all ^ K.Rules.unconstrained_templates) in
+  let defined = List.sort_uniq compare (List.map (fun c -> key c.P.Parser.head) clauses) in
+  let calls_of pred =
+    List.concat_map
+      (fun c -> if key c.P.Parser.head = pred then calls [] c.P.Parser.body else [])
+      clauses
+  in
+  let goals =
+    [ ("kHopConnector", 5); ("summarizerVertexInclusion", 1); ("summarizerRemoveEdges", 1);
+      ("kHopConnectorNoQuery", 4) ]
+  in
+  let rec reach seen = function
+    | [] -> seen
+    | p :: rest when List.mem p seen || not (List.mem p defined) -> reach seen rest
+    | p :: rest -> reach (p :: seen) (calls_of p @ rest)
+  in
+  let reachable = reach [] goals in
+  Alcotest.(check (list (pair string int))) "unreachable rules" []
+    (List.filter (fun p -> not (List.mem p reachable)) defined);
+  let facts =
+    List.map key (K.Facts.query_facts lineage_schema q1 @ K.Facts.schema_facts lineage_schema)
+  in
+  let called = List.sort_uniq compare (List.concat_map (fun c -> calls [] c.P.Parser.body) clauses) in
+  Alcotest.(check (list (pair string int))) "called but undefined" []
+    (List.filter
+       (fun p -> not (List.mem p defined || List.mem p facts || List.mem p P.Engine.builtins))
+       called)
+
 let test_rules_schema_khop () =
   let e = engine_for lineage_schema q1 in
-  let holds = Kaskade_prolog.Engine.holds e in
+  let holds = holds_in e in
   check_bool "2-hop job-job feasible" true (holds "schemaKHopPath('Job', 'Job', 2)");
   check_bool "4-hop job-job feasible" true (holds "schemaKHopPath('Job', 'Job', 4)");
   check_bool "3-hop job-job infeasible" false (holds "schemaKHopPath('Job', 'Job', 3)");
   check_bool "1-hop job-file feasible" true (holds "schemaKHopPath('Job', 'File', 1)")
-
-let test_rules_acyclic_variant_matches_paper () =
-  (* The paper's Listing 2 as written: the type trail blocks K = 4
-     job-to-job paths on the two-type schema — the divergence from its
-     own §IV-B example that DESIGN.md documents. *)
-  let e = engine_for lineage_schema q1 in
-  let holds = Kaskade_prolog.Engine.holds e in
-  check_bool "acyclic 2-hop ok" true (holds "schemaKHopPathAcyclic('Job', 'Job', 2)");
-  check_bool "acyclic rejects 4-hop" false (holds "schemaKHopPathAcyclic('Job', 'Job', 4)")
 
 let test_rules_query_khop () =
   let e = engine_for lineage_schema q1 in
@@ -203,31 +376,6 @@ let test_rules_query_khop () =
     |> List.sort_uniq compare
   in
   Alcotest.(check (list int)) "K = 2..10 realizable" [ 2; 3; 4; 5; 6; 7; 8; 9; 10 ] ks
-
-let test_rules_sources_sinks () =
-  let e = engine_for lineage_schema q1 in
-  let holds = Kaskade_prolog.Engine.holds e in
-  (* In Listing 1's pattern, q_j1 has no incoming pattern edge and
-     q_j2 no outgoing one. *)
-  check_bool "q_j1 source" true (holds "queryVertexSource(q_j1)");
-  check_bool "q_j2 sink" true (holds "queryVertexSink(q_j2)");
-  check_bool "q_f1 not source" false (holds "queryVertexSource(q_f1)")
-
-let test_rules_khop_nbors () =
-  let e = engine_for lineage_schema q1 in
-  match Kaskade_prolog.Engine.first_solution e "queryVertexKHopNbors(1, q_f1, L)" with
-  | Some b -> begin
-    match Kaskade_prolog.Term.to_list (List.assoc "L" b) with
-    | Some items ->
-      (* 1-hop pattern neighbours of q_f1: q_j1 (incoming edge), q_f2
-         (the variable-length edge admits K = 1), and q_j2 (the
-         variable-length edge also admits K = 0, collapsing q_f1 and
-         q_f2, whose read edge then puts q_j2 one hop away). *)
-      Alcotest.(check (list string)) "ego neighbourhood" [ "q_f2"; "q_j1"; "q_j2" ]
-        (List.sort compare (List.map Kaskade_prolog.Term.to_string items))
-    | None -> Alcotest.fail "not a list"
-  end
-  | None -> Alcotest.fail "no solution"
 
 (* ------------------------------------------------------------------ *)
 (* Estimator (paper §V-A, Eq. 1-3)                                     *)
@@ -271,7 +419,7 @@ let test_typed_chain () =
   in
   (* alpha=100 is an upper bound on the number of 2-walks. *)
   let actual =
-    Kaskade_algo.Paths.count_k_walks_between g ~k:2
+    Kaskade_graph.Paths.count_k_walks_between g ~k:2
       ~src_type:(Schema.vertex_type_id (Graph.schema g) "Job")
       ~dst_type:(Schema.vertex_type_id (Graph.schema g) "Job")
   in
@@ -285,7 +433,7 @@ let test_er_underestimates_powerlaw () =
   let g =
     Kaskade_gen.Powerlaw_gen.(generate { default with vertices = 2_000; edges = 10_000; seed = 7 })
   in
-  let actual = Kaskade_algo.Paths.count_k_walks g ~k:2 in
+  let actual = Kaskade_graph.Paths.count_k_walks g ~k:2 in
   let er = K.Estimator.erdos_renyi ~n:(Graph.n_vertices g) ~m:(Graph.n_edges g) ~k:2 in
   check_bool "ER well below actual" true (er < actual /. 2.0)
 
@@ -834,14 +982,14 @@ let () =
           Alcotest.test_case "unconstrained space" `Quick test_enumeration_unconstrained_space;
           Alcotest.test_case "deterministic" `Quick test_enumeration_deterministic;
           Alcotest.test_case "homogeneous" `Quick test_enumeration_homogeneous;
+          Alcotest.test_case "pinned on Table IV and the ablation" `Quick test_enumeration_pinned;
         ] );
       ( "rules",
         [
           Alcotest.test_case "schemaKHopPath parity" `Quick test_rules_schema_khop;
-          Alcotest.test_case "acyclic variant (paper Listing 2)" `Quick test_rules_acyclic_variant_matches_paper;
           Alcotest.test_case "queryKHopPath range" `Quick test_rules_query_khop;
-          Alcotest.test_case "query sources/sinks" `Quick test_rules_sources_sinks;
-          Alcotest.test_case "ego neighbourhood rule" `Quick test_rules_khop_nbors;
+          Alcotest.test_case "member/2" `Quick test_rules_member;
+          Alcotest.test_case "closed over the enumeration goals" `Quick test_rules_closed;
         ] );
       ( "estimator",
         [

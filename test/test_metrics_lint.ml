@@ -13,7 +13,7 @@ let _force_linkage : unit list =
   [
     ignore Kaskade.version (* lib/core: view/query/plan-cache metrics *);
     ignore Kaskade_serve.Session.id (* lib/serve: session/queue/shed *);
-    ignore Kaskade_serve.Server.shutdown (* lib/serve: serve_requests *);
+    ignore Kaskade_serve.Server.run (* lib/serve: serve_requests *);
     ignore Kaskade_store.Wal.last_seq (* lib/store: wal_* *);
     ignore Kaskade_store.Store.last_seq (* lib/store: recovery_* *);
     ignore Kaskade_obs.Qlog.capacity (* lib/obs: slow_queries *);

@@ -31,7 +31,9 @@ let make_stale ks =
   let g = K.graph ks in
   let authors = Graph.vertices_of_type_name g "Author" in
   let pubs = Graph.vertices_of_type_name g "Pub" in
-  K.Update.insert_edge ks ~src:authors.(0) ~dst:pubs.(0) ~etype:"AUTHORED" ()
+  K.Update.batch
+    [ K.Update.Insert_edge { src = authors.(0); dst = pubs.(0); etype = "AUTHORED"; props = [] } ]
+    ks
 
 (* Every comparison below pits two base-graph executions of the same
    snapshot against each other, so raw row values — vertex ids

@@ -534,6 +534,44 @@ let test_server_bad_literal_releases_session () =
   Unix.close fd;
   stop_server socket th
 
+(* A request whose worker raises an exception that no [Error]
+   constructor classifies is answered [ERR label=internal], and the
+   same connection serves the next request. The qlog notifier runs on
+   the worker that logs the query, so a raising notifier injects the
+   exception there. *)
+let test_server_worker_exception_answered () =
+  let socket, th = start_server "raise" in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+  let request line =
+    output_string oc (line ^ "\n");
+    flush oc;
+    let rec read () =
+      match input_line ic with
+      | l when Serve.Wire.fields l <> None -> Serve.Client.status [ l ]
+      | _ -> read ()
+      | exception (Sys_error _ | Sys_blocked_io | End_of_file) -> Alcotest.failf "no reply to %S" line
+    in
+    read ()
+  in
+  check_string "open" "ok" (List.assoc "_status" (request "OPEN"));
+  let q = "Q MATCH (a:Job)-[r]->(b) RETURN a" in
+  let kvs =
+    Fun.protect
+      ~finally:(fun () -> Kaskade_obs.Qlog.set_notifier None)
+      (fun () ->
+        Kaskade_obs.Qlog.set_notifier ~every:1 (Some (fun _ -> raise Exit));
+        request q)
+  in
+  check_string "raising request is an ERR" "err" (List.assoc "_status" kvs);
+  check_string "labelled internal" "internal" (List.assoc "label" kvs);
+  check_string "next request on the connection" "ok" (List.assoc "_status" (request q));
+  ignore (request "CLOSE");
+  Unix.close fd;
+  stop_server socket th
+
 (* ------------------------------------------------------------------ *)
 (* Concurrency and health drill over the socket                        *)
 
@@ -936,7 +974,9 @@ let () =
           Alcotest.test_case "finished connections are reaped" `Slow test_server_reaps_handlers;
           Alcotest.test_case "request line is bounded" `Slow test_server_line_cap;
           Alcotest.test_case "bad literal releases its session" `Quick
-            test_server_bad_literal_releases_session ] );
+            test_server_bad_literal_releases_session;
+          Alcotest.test_case "worker exception answered ERR" `Quick
+            test_server_worker_exception_answered ] );
       ( "drill",
         [ Alcotest.test_case "pinned readers, sheds, health" `Slow test_concurrency_health_drill;
           Alcotest.test_case "WAL logs every batch" `Quick test_wal_logs_every_batch ] );

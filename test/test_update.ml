@@ -362,7 +362,9 @@ let test_facade_stale_views_refused () =
   check_bool "fresh view answers" true (how = K.Via_view "AUTHOR_TO_AUTHOR_2HOP");
   let authors = Graph.vertices_of_type_name (K.graph ks) "Author" in
   let pubs = Graph.vertices_of_type_name (K.graph ks) "Pub" in
-  K.Update.insert_edge ks ~src:authors.(0) ~dst:pubs.(0) ~etype:"AUTHORED" ();
+  K.Update.batch
+    [ K.Update.Insert_edge { src = authors.(0); dst = pubs.(0); etype = "AUTHORED"; props = [] } ]
+    ks;
   (match K.Update.freshness ks with
   | [ (name, Catalog.Stale [ _ ]) ] -> check_string "stale entry" "AUTHOR_TO_AUTHOR_2HOP" name
   | _ -> Alcotest.fail "expected one stale entry");
@@ -415,7 +417,7 @@ let test_facade_auto_refresh () =
   check_bool "same rows as scratch facade" true
     (canon_result ks (res, how) = canon_result ks2 res2);
   (* PROFILE surfaces repairs it performed. *)
-  K.Update.delete_edge ks ~src:authors.(1) ~dst:pubs.(1) ~etype:"AUTHORED" |> ignore;
+  K.Update.batch [ K.Update.Delete_edge { src = authors.(1); dst = pubs.(1); etype = "AUTHORED" } ] ks;
   let _, report = K.profile ks coauthor_query in
   check_int "profile reports its repair" 1 (List.length report.K.refreshes)
 

@@ -496,49 +496,6 @@ let test_qlog_truncation_race_qcheck =
       ok)
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-
-let test_heap_ordering () =
-  let h = Heap.create () in
-  List.iter (fun (p, v) -> Heap.push h p v) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
-  Alcotest.(check (option (pair (float 0.0) string))) "peek" (Some (1.0, "a")) (Heap.peek h);
-  Alcotest.(check (option (pair (float 0.0) string))) "pop1" (Some (1.0, "a")) (Heap.pop h);
-  Alcotest.(check (option (pair (float 0.0) string))) "pop2" (Some (2.0, "b")) (Heap.pop h);
-  Alcotest.(check (option (pair (float 0.0) string))) "pop3" (Some (3.0, "c")) (Heap.pop h);
-  check_bool "empty" true (Heap.pop h = None)
-
-let test_heap_sorted_qcheck =
-  QCheck.Test.make ~name:"heap pops in priority order" ~count:200
-    QCheck.(list_of_size Gen.(0 -- 100) (float_range (-100.0) 100.0))
-    (fun prios ->
-      let h = Heap.create () in
-      List.iter (fun p -> Heap.push h p ()) prios;
-      let rec drain acc = match Heap.pop h with None -> List.rev acc | Some (p, ()) -> drain (p :: acc) in
-      let popped = drain [] in
-      popped = List.sort compare prios)
-
-(* ------------------------------------------------------------------ *)
-(* Union_find                                                          *)
-
-let test_union_find_basic () =
-  let uf = Union_find.create 6 in
-  check_int "initial sets" 6 (Union_find.count uf);
-  Union_find.union uf 0 1;
-  Union_find.union uf 2 3;
-  Union_find.union uf 1 2;
-  check_int "after unions" 3 (Union_find.count uf);
-  check_bool "same" true (Union_find.same uf 0 3);
-  check_bool "not same" false (Union_find.same uf 0 4)
-
-let test_union_find_sizes () =
-  let uf = Union_find.create 5 in
-  Union_find.union uf 0 1;
-  Union_find.union uf 1 2;
-  let sizes = Union_find.component_sizes uf in
-  let root = Union_find.find uf 0 in
-  check_int "big component" 3 (Hashtbl.find sizes root)
-
-(* ------------------------------------------------------------------ *)
 (* Table                                                               *)
 
 let test_fmt_int () =
@@ -555,7 +512,6 @@ let test_table_render () =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ test_ccdf_monotone_qcheck;
-      test_heap_sorted_qcheck;
       test_scratch_vs_hashtbl_qcheck;
       test_qlog_truncation_race_qcheck
     ]
@@ -626,13 +582,6 @@ let () =
             test_morsel_earliest_exception_deterministic;
           Alcotest.test_case "budget exhaustion leaves pool usable" `Quick
             test_morsel_budget_exhausted_leaves_pool_usable;
-        ] );
-      ( "heap",
-        [ Alcotest.test_case "ordering" `Quick test_heap_ordering ] );
-      ( "union_find",
-        [
-          Alcotest.test_case "basic" `Quick test_union_find_basic;
-          Alcotest.test_case "component sizes" `Quick test_union_find_sizes;
         ] );
       ( "table",
         [

@@ -57,8 +57,8 @@ let test_view_equality () =
   let a = View.Connector (View.K_hop { src_type = "Job"; dst_type = "Job"; k = 2 }) in
   let b = View.Connector (View.K_hop { src_type = "Job"; dst_type = "Job"; k = 2 }) in
   let c = View.Connector (View.K_hop { src_type = "Job"; dst_type = "Job"; k = 4 }) in
-  check_bool "equal" true (View.equal a b);
-  check_bool "distinct" false (View.equal a c)
+  check_bool "equal" true (View.compare a b = 0);
+  check_bool "distinct" false (View.compare a c = 0)
 
 let test_view_describe () =
   check_bool "describe mentions hops" true
@@ -81,7 +81,7 @@ let test_khop_connector_matches_paths_count () =
   let g = Kaskade_gen.Provenance_gen.(generate { default with jobs = 150; files = 300; seed = 9 }) in
   let m = Materialize.k_hop_connector g ~src_type:"Job" ~dst_type:"Job" ~k:2 in
   let expected =
-    Kaskade_algo.Paths.count_2hop_pairs g
+    Kaskade_graph.Paths.count_2hop_pairs g
       ~src_type:(Schema.vertex_type_id (Graph.schema g) "Job")
       ~dst_type:(Schema.vertex_type_id (Graph.schema g) "Job")
   in
@@ -207,15 +207,11 @@ let test_catalog_roundtrip () =
   let g, _, _ = small_lineage () in
   let cat = Catalog.create () in
   let view = View.Connector (View.K_hop { src_type = "Job"; dst_type = "Job"; k = 2 }) in
-  check_bool "empty" false (Catalog.mem cat view);
+  check_bool "empty" true (Catalog.find cat view = None);
   Catalog.add cat (Materialize.materialize g view);
-  check_bool "added" true (Catalog.mem cat view);
-  (match Catalog.find cat view with
+  match Catalog.find cat view with
   | Some e -> check_int "size recorded" 2 e.Catalog.size_edges
-  | None -> Alcotest.fail "lookup");
-  check_int "total size" 2 (Catalog.total_size_edges cat);
-  Catalog.remove cat view;
-  check_bool "removed" false (Catalog.mem cat view)
+  | None -> Alcotest.fail "lookup"
 
 let test_catalog_replace () =
   let g, _, _ = small_lineage () in
